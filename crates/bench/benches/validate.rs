@@ -46,10 +46,6 @@ struct PhasesMs {
     io: f64,
     io_encode: f64,
     io_decode: f64,
-    /// Decode time hidden behind PCheck by the decode-ahead pipeline
-    /// (`time.io.decode_overlap`); at jobs 1 this is what the zero-copy
-    /// pipelining saves off the critical path.
-    io_decode_overlap: f64,
     pcheck: f64,
 }
 
@@ -124,9 +120,6 @@ struct BenchOutput {
     corpus_functions: usize,
     reps: usize,
     wire_format: String,
-    intern_hits: u64,
-    intern_misses: u64,
-    intern_hit_rate: f64,
     results: Vec<JobsResult>,
     proof_io: Vec<FormatStats>,
     cache: CacheBench,
@@ -304,7 +297,6 @@ fn main() {
     thread_counts.dedup();
 
     let mut results: Vec<JobsResult> = Vec::new();
-    let mut intern = (0u64, 0u64);
     let mut wall_1 = f64::NAN;
     println!(
         "{:>5} {:>10} {:>8}   {:>8} {:>8} {:>8} {:>8} {:>7}",
@@ -318,8 +310,6 @@ fn main() {
         if jobs == 1 {
             wall_1 = wall;
         }
-        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        intern = (counter("expr.intern.hits"), counter("expr.intern.misses"));
         let steals: u64 = snap
             .counters
             .iter()
@@ -344,7 +334,6 @@ fn main() {
                 io: ms(report.time_io),
                 io_encode: timer_ms(&snap, "time.io.encode"),
                 io_decode: timer_ms(&snap, "time.io.decode"),
-                io_decode_overlap: timer_ms(&snap, "time.io.decode_overlap"),
                 pcheck: ms(report.time_pcheck),
             },
             steals,
@@ -500,16 +489,12 @@ fn main() {
         fuzz.seeds, fuzz.steps, fuzz.wall_ms, fuzz.exec_per_s
     );
 
-    let (hits, misses) = intern;
     let output = BenchOutput {
         available_parallelism: default_jobs(),
         corpus_modules: modules.len(),
         corpus_functions: n_functions,
         reps,
         wire_format: ProofFormat::default().name().to_string(),
-        intern_hits: hits,
-        intern_misses: misses,
-        intern_hit_rate: hits as f64 / (hits + misses).max(1) as f64,
         results,
         proof_io,
         cache: cache_stats,
@@ -517,10 +502,6 @@ fn main() {
     };
     let path = out_path("CRELLVM_BENCH_OUT", "BENCH_validate.json");
     write_pretty(&path, &output);
-    println!(
-        "\ninterner: {hits} hits / {misses} misses ({:.1}% hit rate)",
-        100.0 * output.intern_hit_rate
-    );
     println!("wrote {}", path.display());
 
     let fuzz_path = out_path("CRELLVM_BENCH_FUZZ_OUT", "BENCH_fuzz.json");
@@ -565,17 +546,12 @@ fn history_record(out: &BenchOutput) -> HistoryRecord {
             rec.metric(&format!("io_ms.{j}"), r.phases_ms.io);
             rec.metric(&format!("io_encode_ms.{j}"), r.phases_ms.io_encode);
             rec.metric(&format!("io_decode_ms.{j}"), r.phases_ms.io_decode);
-            rec.metric(
-                &format!("io_decode_overlap_ms.{j}"),
-                r.phases_ms.io_decode_overlap,
-            );
             rec.metric(&format!("pcheck_ms.{j}"), r.phases_ms.pcheck);
         }
     }
     if let Some(best) = out.results.last() {
         rec.metric("speedup.jmax", best.speedup_vs_1);
     }
-    rec.metric("intern_hit_rate", out.intern_hit_rate);
     for f in &out.proof_io {
         rec.metric(&format!("proof_bytes.{}", f.format), f.bytes as f64);
     }

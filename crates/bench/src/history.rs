@@ -24,7 +24,7 @@
 //!   (times, byte sizes) is better when smaller. Encoding this in the
 //!   name keeps records self-describing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -299,6 +299,9 @@ pub struct CompareReport {
     pub deltas: Vec<MetricDelta>,
     /// Metrics present in the current record with no baseline history.
     pub new_metrics: Vec<String>,
+    /// Metrics recorded somewhere in the baseline window but absent from
+    /// the current record — retired by the code under test, not judged.
+    pub retired: Vec<String>,
     /// Parallelism-sensitive metrics left unjudged because the current
     /// run or part of its baseline window ran on a single core.
     pub skipped: Vec<String>,
@@ -347,6 +350,9 @@ impl CompareReport {
         for m in &self.new_metrics {
             let _ = writeln!(out, "{m:<28} (new metric; no baseline yet)");
         }
+        for m in &self.retired {
+            let _ = writeln!(out, "{m:<28} (retired: in baseline, absent from this run)");
+        }
         for m in &self.skipped {
             let _ = writeln!(
                 out,
@@ -370,8 +376,9 @@ fn median(sorted: &[f64]) -> f64 {
 }
 
 /// Judge `current` against the trailing `cfg.window` records of
-/// `baseline`. Metrics absent from the baseline are listed as new, never
-/// flagged; an empty baseline yields an all-clear report (first run).
+/// `baseline`. Metrics absent from the baseline are listed as new and
+/// baseline metrics absent from `current` as retired, neither flagged; an
+/// empty baseline yields an all-clear report (first run).
 pub fn compare(
     current: &HistoryRecord,
     baseline: &[HistoryRecord],
@@ -381,6 +388,14 @@ pub fn compare(
     let window = &baseline[window_start..];
     let mut report = CompareReport {
         baseline_runs: window.len(),
+        retired: window
+            .iter()
+            .flat_map(|r| r.metrics.keys())
+            .filter(|name| !current.metrics.contains_key(*name))
+            .cloned()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect(),
         ..CompareReport::default()
     };
     for (name, &value) in &current.metrics {

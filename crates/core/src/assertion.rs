@@ -195,12 +195,6 @@ impl Unary {
         }
     }
 
-    /// Iterate over the non-lessdef predicates (`Uniq`, `Priv`,
-    /// `Noalias`), in sorted order.
-    pub fn others(&self) -> impl Iterator<Item = &Pred> {
-        self.others.iter()
-    }
-
     /// Does any predicate mention tagged register `r`? Clone-free
     /// replacement for `iter().any(|p| p.mentions(r))`.
     pub fn mentions_reg(&self, r: &TReg) -> bool {

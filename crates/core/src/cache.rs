@@ -31,10 +31,10 @@ use std::sync::Mutex;
 
 /// Version of the checker semantics. Bump on any change to validation
 /// behaviour: every cache key mixes this in, so old entries silently
-/// become misses instead of stale verdicts. Version 2: the checker seeds
-/// its expression interner from the decoded unit, which changes the
-/// deterministic intern counters embedded in cached metric snapshots.
-pub const CHECKER_VERSION: u32 = 2;
+/// become misses instead of stale verdicts. Version 3: the expression
+/// interner is gone, so cached metric snapshots no longer carry the
+/// `expr.intern.*` counters that version 2 entries would replay.
+pub const CHECKER_VERSION: u32 = 3;
 
 /// Version of the on-disk entry encoding; entries with another version
 /// are treated as misses.

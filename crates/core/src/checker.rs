@@ -20,17 +20,17 @@
 // rejection path, where its size is irrelevant.
 #![allow(clippy::result_large_err)]
 
-use crate::assertion::{Assertion, Pred, Unary};
+use crate::assertion::{Assertion, Pred};
 use crate::auto::run_auto;
 use crate::equivbeh::check_equiv_beh;
-use crate::expr::{ExprInterner, ExprRef, TValue};
+use crate::expr::TValue;
 use crate::infrule::{apply_inf_owned, CheckerConfig};
 use crate::postcond::{calc_post_cmd, calc_post_phi};
 use crate::proof::{ProofUnit, RulePos, SlotId};
 use crellvm_ir::{RegId, Term, Value};
 use crellvm_telemetry::{Event, Telemetry};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A successful validation outcome.
@@ -84,11 +84,6 @@ struct Ctx<'a> {
     unit: &'a ProofUnit,
     config: &'a CheckerConfig,
     tel: &'a Telemetry,
-    /// Hash-consing arena for the inclusion checks of this validation
-    /// unit. Owned per unit (never shared across workers of the parallel
-    /// engine), so interning is lock-free; its hit/miss totals are flushed
-    /// to `expr.intern.hits` / `expr.intern.misses` when the unit is done.
-    interner: RefCell<ExprInterner>,
     /// Ring of the last [`RULE_HISTORY_CAP`] applied inference rules,
     /// attached to any [`ValidationError`] this unit produces.
     history: RefCell<Vec<String>>,
@@ -233,51 +228,6 @@ impl Ctx<'_> {
         }
     }
 
-    /// Intern every lessdef pair of a unary assertion.
-    fn intern_pairs(&self, u: &Unary) -> Vec<(ExprRef, ExprRef)> {
-        let mut interner = self.interner.borrow_mut();
-        u.lessdefs()
-            .map(|(a, b)| (interner.intern(a), interner.intern(b)))
-            .collect()
-    }
-
-    /// The inclusion check `q ⇒ goal` over interned handles: the goal's
-    /// lessdef pairs are interned once per [`Ctx::discharge`] and compared
-    /// as `(u32, u32)` pairs against `q`'s (hash-consed equality instead
-    /// of deep tree comparison). Equivalent to [`Assertion::implies`].
-    fn implies_interned(
-        &self,
-        q: &Assertion,
-        goal: &Assertion,
-        goal_src: &[(ExprRef, ExprRef)],
-        goal_tgt: &[(ExprRef, ExprRef)],
-    ) -> bool {
-        if !q.maydiff.is_subset(&goal.maydiff) {
-            return false;
-        }
-        let mut interner = self.interner.borrow_mut();
-        for (have_side, goal_pairs, goal_side) in
-            [(&q.src, goal_src, &goal.src), (&q.tgt, goal_tgt, &goal.tgt)]
-        {
-            let have: HashSet<(ExprRef, ExprRef)> = have_side
-                .lessdefs()
-                .map(|(a, b)| (interner.intern(a), interner.intern(b)))
-                .collect();
-            // Lessdef reflexivity: `a ⊒ a` holds vacuously, which on
-            // hash-consed handles is just `ra == rb`.
-            if !goal_pairs
-                .iter()
-                .all(|&(ra, rb)| ra == rb || have.contains(&(ra, rb)))
-            {
-                return false;
-            }
-            if !goal_side.others().all(|p| have_side.holds(p)) {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Close the gap `q ⇒ goal` with explicit rules then automation.
     fn discharge(
         &self,
@@ -300,9 +250,7 @@ impl Ctx<'_> {
             };
         }
         Self::cleanup_logical_maydiff(&mut q, goal);
-        let goal_src = self.intern_pairs(&goal.src);
-        let goal_tgt = self.intern_pairs(&goal.tgt);
-        if self.implies_interned(&q, goal, &goal_src, &goal_tgt) {
+        if q.implies(goal) {
             return Ok(());
         }
         for kind in &self.unit.autos {
@@ -319,7 +267,7 @@ impl Ctx<'_> {
                     Err((orig, _)) => q = orig,
                 }
             }
-            if self.implies_interned(&q, goal, &goal_src, &goal_tgt) {
+            if q.implies(goal) {
                 return Ok(());
             }
         }
@@ -519,67 +467,6 @@ pub fn validate_with_telemetry(
     config: &CheckerConfig,
     tel: &Telemetry,
 ) -> Result<Verdict, ValidationError> {
-    validate_with_interner(unit, config, tel, seed_interner(unit))
-}
-
-/// A decoded proof unit paired with its pre-seeded expression interner —
-/// what the decode stage of the validation engine hands to PCheck. The
-/// interner already holds every lessdef expression of the unit's
-/// assertions (see [`seed_interner`]), so the checker's goal interning is
-/// all hits and the arena clones moved into the (overlappable) decode
-/// stage.
-#[derive(Debug)]
-pub struct DecodedProof {
-    /// The decoded proof unit.
-    pub unit: ProofUnit,
-    /// The expression interner seeded from the unit's assertions.
-    pub interner: ExprInterner,
-}
-
-impl DecodedProof {
-    /// Decode-stage constructor: seed the interner from the unit.
-    pub fn seed(unit: ProofUnit) -> DecodedProof {
-        let interner = seed_interner(&unit);
-        DecodedProof { unit, interner }
-    }
-}
-
-/// Pre-seed an expression interner with every lessdef expression of the
-/// unit's assertions, in slot order.
-///
-/// This is the canonical seeding walk: it is a pure function of the
-/// decoded unit (never of the wire format or the schedule that decoded
-/// it), so the flushed `expr.intern.hits` / `expr.intern.misses` counters
-/// stay in the deterministic snapshot view — identical across formats,
-/// thread counts, and the inline/pipelined decode paths.
-pub fn seed_interner(unit: &ProofUnit) -> ExprInterner {
-    let mut interner = ExprInterner::new();
-    for a in unit.assertions.values() {
-        for side in [&a.src, &a.tgt] {
-            for (x, y) in side.lessdefs() {
-                interner.intern(x);
-                interner.intern(y);
-            }
-        }
-    }
-    interner
-}
-
-/// [`validate_with_telemetry`] with a caller-provided (typically
-/// pre-seeded, see [`DecodedProof`]) expression interner. The interner's
-/// accumulated hit/miss counts are flushed together with the checker's
-/// own, so seeding at decode and seeding here are observationally
-/// identical.
-///
-/// # Errors
-///
-/// See [`validate_with_config`].
-pub fn validate_with_interner(
-    unit: &ProofUnit,
-    config: &CheckerConfig,
-    tel: &Telemetry,
-    interner: ExprInterner,
-) -> Result<Verdict, ValidationError> {
     tel.count("checker.validations", 1);
     let step = |verdict: &str| {
         Event::new("validation.step")
@@ -603,24 +490,9 @@ pub fn validate_with_interner(
         unit,
         config,
         tel,
-        interner: RefCell::new(interner),
         history: RefCell::new(Vec::new()),
     };
-    let result = ctx.run();
-    {
-        let interner = ctx.interner.borrow();
-        tel.count("expr.intern.hits", interner.hits());
-        tel.count("expr.intern.misses", interner.misses());
-        // Attribute the unit's interner effectiveness to the enclosing
-        // phase span (the engine's `pcheck`), so cost profiles can carry
-        // intern hit/miss columns per stack.
-        if tel.spanning() {
-            use crellvm_telemetry::json::Value as JsonValue;
-            tel.annotate("intern_hits", JsonValue::UInt(interner.hits()));
-            tel.annotate("intern_misses", JsonValue::UInt(interner.misses()));
-        }
-    }
-    match result {
+    match ctx.run() {
         Ok(()) => {
             tel.count("checker.valid", 1);
             tel.emit(step("valid"));

@@ -570,130 +570,6 @@ impl fmt::Display for Expr {
     }
 }
 
-/// An interned handle into an [`ExprInterner`].
-///
-/// Handles are plain `u32` indices: equality and hashing are O(1), and two
-/// handles from the *same* interner are equal iff the expressions they
-/// denote are structurally equal (hash-consing invariant). Handles from
-/// different interners must never be mixed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ExprRef(u32);
-
-impl ExprRef {
-    /// The arena index of the handle.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// A hash-consing arena for [`Expr`].
-///
-/// Each validation unit owns its own interner — workers of the parallel
-/// validation engine never share one, so interning needs no locks. An
-/// expression is deep-cloned into the arena only the first time it is
-/// seen; every later [`intern`](ExprInterner::intern) of an equal tree is
-/// a table hit returning the existing handle. The hit/miss counters
-/// double as the pipeline's allocation proxy (`expr.intern.hits` /
-/// `expr.intern.misses` in telemetry): every miss is one tree cloned,
-/// every hit a clone avoided.
-///
-/// The index is an intrusive hash chain over the arena (`heads` maps an
-/// FNV-1a structural hash to the newest arena entry with that hash,
-/// `chain[i]` links same-hash entries), so a miss clones the tree exactly
-/// once — into the arena — instead of once for the arena and once for a
-/// `HashMap<Expr, _>` key, and no per-entry side allocation exists at all.
-#[derive(Debug, Default)]
-pub struct ExprInterner {
-    heads: std::collections::HashMap<u64, u32>,
-    chain: Vec<u32>,
-    exprs: Vec<Expr>,
-    hits: u64,
-    misses: u64,
-}
-
-/// End-of-chain sentinel (an arena can never hold `u32::MAX` entries — the
-/// overflow check in `intern` fires first).
-const CHAIN_END: u32 = u32::MAX;
-
-/// Structural FNV-1a hash of an expression tree, via the `Hash` derive
-/// driving a 64-bit FNV state. Deterministic within a process run, which
-/// is all the chain index needs (equality, not hash order, decides
-/// hit/miss counts).
-fn fnv_hash(e: &Expr) -> u64 {
-    struct Fnv(u64);
-    impl std::hash::Hasher for Fnv {
-        fn finish(&self) -> u64 {
-            self.0
-        }
-        fn write(&mut self, bytes: &[u8]) {
-            for &b in bytes {
-                self.0 ^= u64::from(b);
-                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-    }
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    std::hash::Hash::hash(e, &mut h);
-    std::hash::Hasher::finish(&h)
-}
-
-impl ExprInterner {
-    /// An empty arena.
-    pub fn new() -> ExprInterner {
-        ExprInterner::default()
-    }
-
-    /// Intern an expression, cloning it into the arena only on first
-    /// sight.
-    pub fn intern(&mut self, e: &Expr) -> ExprRef {
-        let h = fnv_hash(e);
-        if let Some(&head) = self.heads.get(&h) {
-            let mut i = head;
-            while i != CHAIN_END {
-                if self.exprs[i as usize] == *e {
-                    self.hits += 1;
-                    return ExprRef(i);
-                }
-                i = self.chain[i as usize];
-            }
-        }
-        self.misses += 1;
-        let i = u32::try_from(self.exprs.len())
-            .ok()
-            .filter(|&i| i != CHAIN_END)
-            .expect("expression arena overflow");
-        self.exprs.push(e.clone());
-        self.chain
-            .push(self.heads.insert(h, i).unwrap_or(CHAIN_END));
-        ExprRef(i)
-    }
-
-    /// The expression behind a handle (must come from this interner).
-    pub fn resolve(&self, r: ExprRef) -> &Expr {
-        &self.exprs[r.index()]
-    }
-
-    /// Number of distinct expressions interned.
-    pub fn len(&self) -> usize {
-        self.exprs.len()
-    }
-
-    /// Is the arena empty?
-    pub fn is_empty(&self) -> bool {
-        self.exprs.is_empty()
-    }
-
-    /// Lookups that found an existing entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to clone a new tree into the arena.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,24 +674,6 @@ mod tests {
             TValue::int(Type::I32, 0),
         );
         assert!(e.mentions_trapping_const());
-    }
-
-    #[test]
-    fn interner_hash_conses() {
-        let mut it = ExprInterner::new();
-        let e1 = Expr::bin(BinOp::Add, Type::I32, TValue::phy(r(0)), TValue::phy(r(1)));
-        let e2 = Expr::bin(BinOp::Add, Type::I32, TValue::phy(r(0)), TValue::phy(r(1)));
-        let e3 = Expr::bin(BinOp::Sub, Type::I32, TValue::phy(r(0)), TValue::phy(r(1)));
-        let h1 = it.intern(&e1);
-        let h2 = it.intern(&e2);
-        let h3 = it.intern(&e3);
-        assert_eq!(h1, h2);
-        assert_ne!(h1, h3);
-        assert_eq!(it.resolve(h1), &e1);
-        assert_eq!(it.resolve(h3), &e3);
-        assert_eq!(it.len(), 2);
-        assert_eq!(it.hits(), 1);
-        assert_eq!(it.misses(), 2);
     }
 
     #[test]

@@ -61,11 +61,10 @@ pub use assertion::{Assertion, Pred, Unary};
 pub use auto::AutoKind;
 pub use cache::{CacheEntry, CacheKey, ValidationCache, CHECKER_VERSION};
 pub use checker::{
-    seed_interner, validate, validate_with_config, validate_with_interner, validate_with_telemetry,
-    DecodedProof, ValidationError, Verdict,
+    validate, validate_with_config, validate_with_telemetry, ValidationError, Verdict,
 };
 pub use equivbeh::check_equiv_beh;
-pub use expr::{Expr, ExprInterner, ExprRef, Side, TReg, TValue};
+pub use expr::{Expr, Side, TReg, TValue};
 pub use forensics::{forensic_bundle, replay, ReplayReport};
 pub use infrule::{all_rule_names, apply_inf, apply_inf_owned, CheckerConfig, InfError, InfRule};
 pub use mmapio::{read_bytes, ProofBytes};

@@ -14,10 +14,8 @@
 //! * **No shared mutable state on the hot path.** Each worker records into
 //!   its own private [`Registry`] and reuses its own
 //!   [`CodecScratch`](crate::pipeline::CodecScratch) buffers for the io
-//!   phase; each validation unit owns its own expression interner (see
-//!   `crellvm_core::checker`). Workers share only the immutable input
-//!   module, the optional [`ValidationCache`], and, when tracing, the
-//!   append-only trace sink.
+//!   phase. Workers share only the immutable input module, the optional
+//!   [`ValidationCache`], and, when tracing, the append-only trace sink.
 //! * **Incremental validation.** With [`ParallelOptions::cache`] set, the
 //!   scheduler consults a content-addressed [`ValidationCache`] before
 //!   dispatching a unit: a hit replays the stored verdict, proof, and the
@@ -44,26 +42,24 @@ use crate::pipeline::{
     CodecScratch, PipelineReport, ProofFormat, SpanItem, StepOutcome, StepRecord, PASS_ORDER,
 };
 use crellvm_core::cache::{OUTCOME_FAILED, OUTCOME_NOT_SUPPORTED, OUTCOME_VALID};
-use crellvm_core::serialize_bin::DecodeScratch;
 use crellvm_core::{
-    proof_from_bytes, proof_to_bytes_v2, serialize_bin, validate_with_interner,
-    validate_with_telemetry, CacheEntry, CacheKey, CheckerConfig, DecodedProof, ProofUnit,
-    ValidationCache, ValidationError, Verdict,
+    proof_from_bytes, proof_to_bytes_v2, serialize_bin, validate_with_telemetry, CacheEntry,
+    CacheKey, CheckerConfig, ProofUnit, ValidationCache, ValidationError, Verdict,
 };
 use crellvm_ir::{Function, Module};
 use crellvm_telemetry::forensics::ForensicBundle;
 use crellvm_telemetry::json::Value;
 use crellvm_telemetry::{Progress, Registry, Snapshot, SpanCollector, SpanNode, Telemetry};
-use std::collections::VecDeque;
 use std::num::NonZeroUsize;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options of the parallel validation engine.
 #[derive(Debug, Clone)]
 pub struct ParallelOptions {
-    /// Number of worker threads to fan validation out over. The engine
-    /// never spawns more workers than there are functions.
+    /// Number of workers to fan validation out over; the calling thread
+    /// is worker 0, so `1` validates inline without spawning. The engine
+    /// never uses more workers than there are functions.
     pub jobs: usize,
     /// Proof wire format for the I/O phase (wire format v2 by default).
     pub format: ProofFormat,
@@ -94,16 +90,6 @@ pub struct ParallelOptions {
     /// cache-outcome counts into it lock-free; it renders to stderr only,
     /// so the deterministic metrics/span view is untouched.
     pub progress: Option<Arc<Progress>>,
-    /// Decode-ahead window: how many encoded proofs a worker may have in
-    /// flight on the shared decode thread before it blocks. With a
-    /// non-zero window the I/O decode half runs on its own thread,
-    /// overlapped with PCheck of already-decoded units (and with the next
-    /// unit's Orig/PCal), so the per-item `io` cost on the critical path
-    /// shrinks to encode + residual wait. `0` disables pipelining (the
-    /// decode runs inline on the worker, as before); span collection also
-    /// forces the inline path, since relocating the decode would change
-    /// the causal span tree.
-    pub decode_ahead: usize,
 }
 
 impl Default for ParallelOptions {
@@ -117,7 +103,6 @@ impl Default for ParallelOptions {
             cache_namespace: String::new(),
             pool_gauges: None,
             progress: None,
-            decode_ahead: 2,
         }
     }
 }
@@ -301,300 +286,6 @@ fn process_item(
     }
 }
 
-/// One encoded proof on its way to the decode-ahead thread.
-struct DecodeReq {
-    worker: usize,
-    item: usize,
-    bytes: Vec<u8>,
-}
-
-/// A decoded (and interner-seeded) proof on its way back to the worker
-/// that submitted it, carrying the decode's own duration and the spent
-/// encode buffer for reuse.
-struct DecodeResp {
-    item: usize,
-    decoded: DecodedProof,
-    decode: Duration,
-    buf: Vec<u8>,
-}
-
-/// The worker ⇄ decode-thread exchange: a shared FIFO request queue and
-/// one response deque per worker. FIFO both ways means each worker's
-/// responses arrive in its submission order, so a worker's pending items
-/// form a simple queue — no reordering buffer needed.
-struct DecodeExchange {
-    queue: Mutex<(VecDeque<DecodeReq>, bool)>,
-    queue_cv: Condvar,
-    resp: Vec<(Mutex<VecDeque<DecodeResp>>, Condvar)>,
-}
-
-impl DecodeExchange {
-    fn new(workers: usize) -> DecodeExchange {
-        DecodeExchange {
-            queue: Mutex::new((VecDeque::new(), false)),
-            queue_cv: Condvar::new(),
-            resp: (0..workers)
-                .map(|_| (Mutex::new(VecDeque::new()), Condvar::new()))
-                .collect(),
-        }
-    }
-
-    fn submit(&self, req: DecodeReq) {
-        self.queue
-            .lock()
-            .expect("decode queue poisoned")
-            .0
-            .push_back(req);
-        self.queue_cv.notify_one();
-    }
-
-    /// Mark the request stream finished (the decode thread drains what is
-    /// queued, then exits).
-    fn close(&self) {
-        self.queue.lock().expect("decode queue poisoned").1 = true;
-        self.queue_cv.notify_all();
-    }
-
-    /// Decode-thread side: block for the next request; `None` once the
-    /// stream is closed and drained.
-    fn next_request(&self) -> Option<DecodeReq> {
-        let mut q = self.queue.lock().expect("decode queue poisoned");
-        loop {
-            if let Some(req) = q.0.pop_front() {
-                return Some(req);
-            }
-            if q.1 {
-                return None;
-            }
-            q = self.queue_cv.wait(q).expect("decode queue poisoned");
-        }
-    }
-
-    /// Non-blocking poll for a finished decode of worker `w`.
-    fn try_recv(&self, w: usize) -> Option<DecodeResp> {
-        self.resp[w]
-            .0
-            .lock()
-            .expect("resp queue poisoned")
-            .pop_front()
-    }
-
-    /// Block until a decode of worker `w` is ready, returning how long the
-    /// worker actually waited — the only part of the decode that remains
-    /// on the worker's critical path.
-    fn recv(&self, w: usize) -> (DecodeResp, Duration) {
-        let t = Instant::now();
-        let (lock, cv) = &self.resp[w];
-        let mut q = lock.lock().expect("resp queue poisoned");
-        loop {
-            if let Some(r) = q.pop_front() {
-                return (r, t.elapsed());
-            }
-            q = cv.wait(q).expect("resp queue poisoned");
-        }
-    }
-}
-
-/// The decode-ahead thread: pull encoded proofs, decode + seed the
-/// expression interner, hand the [`DecodedProof`] back to the submitting
-/// worker. One thread (with one reusable [`DecodeScratch`]) serves the
-/// whole pool; the decode duration travels with each response so the
-/// receiving worker can account `time.io.decode` / `.decode_overlap`
-/// itself — the thread touches no telemetry of its own.
-fn decode_loop(exchange: &DecodeExchange, format: ProofFormat) {
-    let mut dec = DecodeScratch::default();
-    while let Some(req) = exchange.next_request() {
-        let t = Instant::now();
-        let decoded = format.decode_seeded(&req.bytes, &mut dec);
-        let decode = t.elapsed();
-        let (lock, cv) = &exchange.resp[req.worker];
-        lock.lock()
-            .expect("resp queue poisoned")
-            .push_back(DecodeResp {
-                item: req.item,
-                decoded,
-                decode,
-                buf: req.bytes,
-            });
-        cv.notify_one();
-    }
-}
-
-/// The producer half of a pipelined work item: Orig, PCal, and the encode
-/// half of I/O. The encoded bytes leave for the decode thread; everything
-/// needed to finish the item once its decode comes back rides here.
-struct ProducedItem {
-    unit: ProofUnit,
-    wire_len: usize,
-    orig: Duration,
-    pcal: Duration,
-    encode: Duration,
-    /// Per-item registry + telemetry of a cache miss (its deterministic
-    /// delta is captured into the new cache entry at completion); `None`
-    /// on the uncached path, where the worker registry records directly.
-    itel: Option<(Arc<Registry>, Telemetry)>,
-    /// Cache key to insert under at completion (misses only).
-    key: Option<CacheKey>,
-}
-
-/// Run Orig + PCal + encode for one item, recording into `tel`. Returns
-/// the produced state and the encoded bytes (the codec buffer is swapped
-/// out against `spare_buf`, so buffers cycle worker → decode thread →
-/// worker without reallocating).
-fn produce_item(
-    pass: &str,
-    f: &Function,
-    config: &PassConfig,
-    opts: &ParallelOptions,
-    tel: &Telemetry,
-    scratch: &mut CodecScratch,
-    spare_buf: Vec<u8>,
-) -> (ProducedItem, Vec<u8>) {
-    let t0 = Instant::now();
-    let _ = run_pass_function(pass, f, &config.without_proofs(), &Telemetry::disabled());
-    let orig = t0.elapsed();
-    tel.registry().record_duration("time.orig", orig);
-
-    let t1 = Instant::now();
-    let unit = run_pass_function(pass, f, config, tel);
-    let pcal = t1.elapsed();
-    tel.registry().record_duration("time.pcal", pcal);
-
-    tel.count("pipeline.steps", 1);
-    let t2 = Instant::now();
-    let wire_len = opts.format.encode_into(&unit, scratch);
-    let encode = t2.elapsed();
-    tel.registry().record_duration("time.io.encode", encode);
-    tel.observe("pipeline.proof_bytes", wire_len as u64);
-    tel.count(opts.format.bytes_counter(), wire_len as u64);
-    let bytes = std::mem::replace(&mut scratch.buf, spare_buf);
-
-    (
-        ProducedItem {
-            unit,
-            wire_len,
-            orig,
-            pcal,
-            encode,
-            itel: None,
-            key: None,
-        },
-        bytes,
-    )
-}
-
-/// Finish a pipelined item once its decode arrived: PCheck against the
-/// pre-seeded interner, forensics, telemetry, and — on a cache miss — the
-/// capture of the item's deterministic metric delta into a new cache
-/// entry. `waited` is how long the worker blocked for this response; the
-/// item's critical-path `io` is encode + that wait, while the decode's
-/// full duration is accounted under `time.io.decode` and its overlapped
-/// share under `time.io.decode_overlap` (all timers, so the deterministic
-/// snapshot view is identical to the inline path's).
-#[allow(clippy::too_many_arguments)]
-fn finish_pipelined(
-    pass: &str,
-    produced: ProducedItem,
-    resp: DecodeResp,
-    waited: Duration,
-    checker: &CheckerConfig,
-    opts: &ParallelOptions,
-    wtel: &Telemetry,
-    cache: Option<&ValidationCache>,
-) -> (ItemResult, Vec<u8>) {
-    let ProducedItem {
-        unit,
-        wire_len,
-        orig,
-        pcal,
-        encode,
-        itel,
-        key,
-    } = produced;
-    let DecodeResp {
-        decoded,
-        decode,
-        buf,
-        ..
-    } = resp;
-
-    let io = encode + waited;
-    let (outcome, pcheck, bundle) = {
-        let tel = itel.as_ref().map_or(wtel, |(_, t)| t);
-        tel.registry().record_duration("time.io", io);
-        tel.registry().record_duration("time.io.decode", decode);
-        tel.registry()
-            .record_duration("time.io.decode_overlap", decode.saturating_sub(waited));
-
-        let t3 = Instant::now();
-        let mut failure: Option<ValidationError> = None;
-        let outcome = match validate_with_interner(&decoded.unit, checker, tel, decoded.interner) {
-            Ok(Verdict::Valid) => {
-                tel.count("pipeline.validated", 1);
-                StepOutcome::Valid
-            }
-            Ok(Verdict::NotSupported(r)) => {
-                tel.count("pipeline.not_supported", 1);
-                StepOutcome::NotSupported(r)
-            }
-            Err(e) => {
-                tel.count("pipeline.failed", 1);
-                let msg = e.to_string();
-                failure = Some(e);
-                StepOutcome::Failed(msg)
-            }
-        };
-        let pcheck = t3.elapsed();
-        tel.registry().record_duration("time.pcheck", pcheck);
-
-        let bundle = match &failure {
-            Some(e) if opts.forensics => {
-                tel.count("forensics.bundles", 1);
-                let mut b = crellvm_core::forensics::forensic_bundle(&decoded.unit, e, checker);
-                b.wire_format = opts.format.name().to_string();
-                Some(b)
-            }
-            _ => None,
-        };
-        (outcome, pcheck, bundle)
-    };
-
-    let record = StepRecord {
-        pass: pass.to_string(),
-        func: unit.src.name.clone(),
-        outcome,
-        proof_bytes: wire_len,
-    };
-    let result = ItemResult {
-        unit,
-        record,
-        orig,
-        pcal,
-        io,
-        pcheck,
-        span: None,
-        bundle,
-    };
-
-    // Cache-miss capture, exactly as the inline cached path does it: fold
-    // the per-item registry into the worker registry, store the item's
-    // deterministic delta in the new entry.
-    if let (Some((registry, _)), Some(key)) = (itel, key) {
-        let cache = cache.expect("itel implies an active cache");
-        let snapshot = registry.snapshot();
-        wtel.registry().merge_snapshot(&snapshot);
-        let (tag, reason) = outcome_to_entry(&result.record.outcome);
-        let mut entry = CacheEntry::new(tag, reason);
-        entry.proof = proof_to_bytes_v2(&result.unit).unwrap_or_default();
-        entry.proof_bytes = result.record.proof_bytes as u64;
-        entry.metrics_json = snapshot.deterministic().to_json();
-        if cache.insert(key, entry) {
-            wtel.count("cache.evictions", 1);
-        }
-    }
-    (result, buf)
-}
-
 /// The cache-entry verdict encoding of a step outcome.
 fn outcome_to_entry(outcome: &StepOutcome) -> (u8, String) {
     match outcome {
@@ -710,27 +401,53 @@ fn process_item_cached(
     result
 }
 
-/// The inline engine: every phase of an item runs synchronously on the
-/// worker that pulled it (the pre-pipelining behaviour, still used for
-/// span collection and `--decode-ahead 0`).
-#[allow(clippy::too_many_arguments)]
-fn run_pass_inline(
+/// Run one pass over a module with full validation instrumentation,
+/// fanning the per-function work across `opts.jobs` workers.
+///
+/// Equivalent to `pipeline::run_validated_pass_traced` in every
+/// deterministic observable: same transformed module, same step records in
+/// function order, same measurement counters and histograms. Per-worker
+/// registries are merged into `tel`'s registry after the pool joins.
+pub fn run_validated_pass_parallel(
     name: &str,
     m: &Module,
     config: &PassConfig,
     checker: &CheckerConfig,
     opts: &ParallelOptions,
     tel: &Telemetry,
-    workers: usize,
-    cache: Option<&ValidationCache>,
-) -> crate::schedule::PoolOutput<ItemResult, Snapshot> {
+    report: &mut PipelineReport,
+) -> PassOutcome {
+    let n = m.functions.len();
+    let workers = opts.jobs.max(1).min(n.max(1));
+
+    // Live pool gauges for an external observer (the serving daemon's
+    // /metrics): fan-out width while the pass runs and inflight units per
+    // item. Recorded into the shared gauge registry only — never into the
+    // per-worker measurement registries — so the deterministic view is
+    // untouched.
+    if let Some(g) = &opts.pool_gauges {
+        g.gauge_set("pool.workers", workers as i64);
+    }
+
+    // Spans and forensics need the unit to actually run (they capture its
+    // live execution), so the cache stands aside while either is on.
+    let cache = opts
+        .cache
+        .as_deref()
+        .filter(|_| !opts.spans && !opts.forensics);
+
+    // Fan out over the shared work-stealing pool (see `crate::schedule`):
+    // functions are dealt by interleaved statement-count rank, each worker
+    // records into its own registry and reuses its own codec scratch, and
+    // results come back scattered by function index. The calling thread is
+    // worker 0, so at one worker every item runs inline on it.
     struct WorkerState {
         registry: Arc<Registry>,
         wtel: Telemetry,
         scratch: CodecScratch,
     }
-    crate::schedule::run_work_stealing(
-        m.functions.len(),
+    let pool = crate::schedule::run_work_stealing(
+        n,
         workers,
         |i| m.functions[i].stmt_count(),
         |_w| {
@@ -785,244 +502,7 @@ fn run_pass_inline(
             state.registry.add(&format!("validate.steal.w{w}"), steals);
             state.registry.snapshot()
         },
-    )
-}
-
-/// The pipelined engine: workers run Orig + PCal + encode and hand the
-/// encoded proof to the shared decode-ahead thread, overlapping that
-/// item's decode with the next item's production and with PCheck of
-/// already-decoded items. Each worker bounds its outstanding decodes by
-/// [`ParallelOptions::decode_ahead`], blocking (and accounting the wait
-/// as the item's residual critical-path io) when the window is full.
-///
-/// Deterministic observables are identical to the inline engine: the same
-/// per-item work runs with the same counters into the same per-worker /
-/// per-item registries; only wall-clock timers (excluded from
-/// `Snapshot::deterministic`) see the relocation.
-#[allow(clippy::too_many_arguments)]
-fn run_pass_pipelined(
-    name: &str,
-    m: &Module,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    opts: &ParallelOptions,
-    tel: &Telemetry,
-    workers: usize,
-    cache: Option<&ValidationCache>,
-) -> crate::schedule::PoolOutput<ItemResult, Snapshot> {
-    struct PipeState {
-        registry: Arc<Registry>,
-        wtel: Telemetry,
-        scratch: CodecScratch,
-        /// Items submitted to the decode thread, in submission order
-        /// (responses come back in the same order).
-        pending: VecDeque<(usize, ProducedItem)>,
-        /// Returned encode buffers, cycled back into the codec scratch.
-        spare: Vec<Vec<u8>>,
-    }
-
-    let window = opts.decode_ahead;
-    let format = opts.format;
-    let exchange = DecodeExchange::new(workers);
-    std::thread::scope(|scope| {
-        let exchange = &exchange;
-        let decoder = scope.spawn(move || decode_loop(exchange, format));
-
-        // Completion of one pending item (shared by `work` and `finish`).
-        let complete = |state: &mut PipeState, resp: DecodeResp, waited: Duration| {
-            let (item, produced) = state
-                .pending
-                .pop_front()
-                .expect("a pending item per decode response");
-            debug_assert_eq!(item, resp.item, "decode thread preserves per-worker order");
-            let (result, buf) = finish_pipelined(
-                name,
-                produced,
-                resp,
-                waited,
-                checker,
-                opts,
-                &state.wtel,
-                cache,
-            );
-            state.spare.push(buf);
-            if let Some(g) = &opts.pool_gauges {
-                g.gauge_sub("pool.inflight", 1);
-            }
-            if let Some(p) = &opts.progress {
-                p.add_done(1);
-            }
-            (item, result)
-        };
-
-        let pool = crate::schedule::run_work_stealing_batched(
-            m.functions.len(),
-            workers,
-            |i| m.functions[i].stmt_count(),
-            |_w| {
-                let registry = Arc::new(Registry::new());
-                let mut wtel = Telemetry::with_registry(Arc::clone(&registry));
-                if let Some(trace) = tel.trace_handle() {
-                    wtel = wtel.with_trace(trace);
-                }
-                PipeState {
-                    registry,
-                    wtel,
-                    scratch: CodecScratch::default(),
-                    pending: VecDeque::new(),
-                    spare: Vec::new(),
-                }
-            },
-            |w, state, i| {
-                let mut done = Vec::new();
-                // Opportunistically retire decodes that finished while
-                // this worker was busy — their wait is zero by definition.
-                while let Some(resp) = exchange.try_recv(w) {
-                    done.push(complete(state, resp, Duration::ZERO));
-                }
-
-                let f = &m.functions[i];
-                if let Some(g) = &opts.pool_gauges {
-                    g.gauge_add("pool.inflight", 1);
-                }
-
-                // Cache consult (same key and replay as the inline path).
-                let mut miss_ctx = None;
-                if let Some(cache) = cache {
-                    let func_bytes = serialize_bin::to_bytes(f).expect("function serializes");
-                    let key = CacheKey::for_unit(
-                        &func_bytes,
-                        name,
-                        config.cache_token(),
-                        checker.cache_token(),
-                        opts.format.wire_token(),
-                    )
-                    .namespaced(&opts.cache_namespace);
-                    if let Some(entry) = cache.get(key) {
-                        if let Some(result) = replay_cache_hit(name, &entry, &state.wtel) {
-                            if let Some(p) = &opts.progress {
-                                p.add_cache_hit();
-                                p.add_done(1);
-                            }
-                            if let Some(g) = &opts.pool_gauges {
-                                g.gauge_sub("pool.inflight", 1);
-                            }
-                            done.push((i, result));
-                            return done;
-                        }
-                    }
-                    state.wtel.count("cache.misses", 1);
-                    if let Some(p) = &opts.progress {
-                        p.add_cache_miss();
-                    }
-                    let item_registry = Arc::new(Registry::new());
-                    let mut itel = Telemetry::with_registry(Arc::clone(&item_registry));
-                    if let Some(trace) = tel.trace_handle() {
-                        itel = itel.with_trace(trace);
-                    }
-                    miss_ctx = Some(((item_registry, itel), key));
-                }
-
-                let ptel = miss_ctx
-                    .as_ref()
-                    .map_or(&state.wtel, |((_, itel), _)| itel)
-                    .clone();
-                let spare = state.spare.pop().unwrap_or_default();
-                let (mut produced, bytes) =
-                    produce_item(name, f, config, opts, &ptel, &mut state.scratch, spare);
-                if let Some((itel, key)) = miss_ctx {
-                    produced.itel = Some(itel);
-                    produced.key = Some(key);
-                }
-                state.pending.push_back((i, produced));
-                exchange.submit(DecodeReq {
-                    worker: w,
-                    item: i,
-                    bytes,
-                });
-
-                // Respect the decode-ahead window: block (accounting the
-                // wait) until the oldest decodes come back.
-                while state.pending.len() > window {
-                    let (resp, waited) = exchange.recv(w);
-                    done.push(complete(state, resp, waited));
-                }
-                done
-            },
-            |w, mut state, steals| {
-                // Queue ran dry: drain every outstanding decode.
-                let mut done = Vec::new();
-                while !state.pending.is_empty() {
-                    let (resp, waited) = exchange.recv(w);
-                    done.push(complete(&mut state, resp, waited));
-                }
-                state.registry.add(&format!("validate.steal.w{w}"), steals);
-                (done, state.registry.snapshot())
-            },
-        );
-        exchange.close();
-        decoder.join().expect("decode thread panicked");
-        pool
-    })
-}
-
-/// Run one pass over a module with full validation instrumentation,
-/// fanning the per-function work across `opts.jobs` workers.
-///
-/// Equivalent to `pipeline::run_validated_pass_traced` in every
-/// deterministic observable: same transformed module, same step records in
-/// function order, same measurement counters and histograms. Per-worker
-/// registries are merged into `tel`'s registry after the pool joins.
-pub fn run_validated_pass_parallel(
-    name: &str,
-    m: &Module,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    opts: &ParallelOptions,
-    tel: &Telemetry,
-    report: &mut PipelineReport,
-) -> PassOutcome {
-    let n = m.functions.len();
-    let workers = opts.jobs.max(1).min(n.max(1));
-
-    // Decode relocation needs the causal span tree to stay on one thread,
-    // so span collection forces the inline path.
-    let pipelined = opts.decode_ahead > 0 && !opts.spans;
-
-    // Live pool gauges for an external observer (the serving daemon's
-    // /metrics): fan-out width while the pass runs, inflight units per
-    // item, and the decode-ahead window (0 when the inline path runs).
-    // Recorded into the shared gauge registry only — never into the
-    // per-worker measurement registries — so the deterministic view is
-    // untouched.
-    if let Some(g) = &opts.pool_gauges {
-        g.gauge_set("pool.workers", workers as i64);
-        g.gauge_set(
-            "pool.decode_ahead",
-            if pipelined {
-                opts.decode_ahead as i64
-            } else {
-                0
-            },
-        );
-    }
-
-    // Spans and forensics need the unit to actually run (they capture its
-    // live execution), so the cache stands aside while either is on.
-    let cache = opts
-        .cache
-        .as_deref()
-        .filter(|_| !opts.spans && !opts.forensics);
-
-    // Fan out over the shared work-stealing pool (see `crate::schedule`):
-    // functions are dealt by interleaved statement-count rank, each worker
-    // records into its own registry and reuses its own codec scratch, and
-    // results come back scattered by function index.
-    let pool = if pipelined {
-        run_pass_pipelined(name, m, config, checker, opts, tel, workers, cache)
-    } else {
-        run_pass_inline(name, m, config, checker, opts, tel, workers, cache)
-    };
+    );
 
     // Merge per-worker registries in worker order (every metric is an
     // order-independent sum; the fixed order keeps even timer totals
@@ -1166,51 +646,6 @@ mod tests {
                 snap1.deterministic(),
                 snap.deterministic(),
                 "metrics differ at jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
-    fn decode_ahead_window_does_not_change_observables() {
-        let run = |jobs: usize, decode_ahead: usize| {
-            let m = parse_module(PROGRAM).unwrap();
-            let tel = Telemetry::disabled();
-            let opts = ParallelOptions {
-                jobs,
-                decode_ahead,
-                ..ParallelOptions::default()
-            };
-            let (out, report) = run_pipeline_parallel(&m, &PassConfig::default(), &opts, &tel);
-            let steps: Vec<_> = report
-                .steps
-                .iter()
-                .map(|s| {
-                    (
-                        s.pass.clone(),
-                        s.func.clone(),
-                        s.outcome.clone(),
-                        s.proof_bytes,
-                    )
-                })
-                .collect();
-            (
-                crellvm_ir::printer::print_module(&out),
-                steps,
-                tel.registry().snapshot().deterministic(),
-            )
-        };
-        // decode_ahead == 0 is the inline engine — the reference point.
-        let base = run(2, 0);
-        for (jobs, window) in [(1, 1), (2, 1), (2, 2), (3, 16), (8, 2)] {
-            let got = run(jobs, window);
-            assert_eq!(
-                base.0, got.0,
-                "module differs at jobs={jobs} window={window}"
-            );
-            assert_eq!(base.1, got.1, "steps differ at jobs={jobs} window={window}");
-            assert_eq!(
-                base.2, got.2,
-                "deterministic metrics differ at jobs={jobs} window={window}"
             );
         }
     }

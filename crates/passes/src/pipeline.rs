@@ -11,8 +11,8 @@ use crate::config::{PassConfig, PassOutcome};
 use crellvm_core::serialize_bin::{DecodeScratch, EncodeScratch};
 use crellvm_core::{
     proof_from_bytes_v1, proof_from_bytes_v2_with, proof_from_json, proof_to_bytes,
-    proof_to_bytes_v2_into, proof_to_json, validate_with_interner, CheckerConfig, DecodedProof,
-    ProofUnit, Verdict,
+    proof_to_bytes_v2_into, proof_to_json, validate_with_telemetry, CheckerConfig, ProofUnit,
+    Verdict,
 };
 use crellvm_ir::Module;
 use crellvm_telemetry::forensics::ForensicBundle;
@@ -73,30 +73,14 @@ impl ProofFormat {
     /// Deserialize the proof last encoded into `scratch.buf`.
     pub fn decode_scratch(self, scratch: &mut CodecScratch) -> ProofUnit {
         let CodecScratch { dec, buf, .. } = scratch;
-        self.decode_bytes_with(buf, dec)
-    }
-
-    /// Deserialize a proof from caller-held bytes (the decode-ahead
-    /// thread's entry point — its input buffers arrive from worker
-    /// submissions, not from its own `encode_into`).
-    pub fn decode_bytes_with(self, bytes: &[u8], dec: &mut DecodeScratch) -> ProofUnit {
         match self {
             ProofFormat::Json => {
-                let json = std::str::from_utf8(bytes).expect("json proof is utf-8");
+                let json = std::str::from_utf8(buf).expect("json proof is utf-8");
                 proof_from_json(json).expect("deserialize proof")
             }
-            ProofFormat::BinaryV1 => proof_from_bytes_v1(bytes).expect("deserialize proof"),
-            ProofFormat::Binary => proof_from_bytes_v2_with(bytes, dec).expect("deserialize proof"),
+            ProofFormat::BinaryV1 => proof_from_bytes_v1(buf).expect("deserialize proof"),
+            ProofFormat::Binary => proof_from_bytes_v2_with(buf, dec).expect("deserialize proof"),
         }
-    }
-
-    /// Deserialize a proof and seed its expression interner in the same
-    /// stage, so PCheck starts from a [`DecodedProof`] whose arena is
-    /// already populated (see `crellvm_core::seed_interner` — the walk is
-    /// a pure function of the unit, so counters stay format- and
-    /// schedule-independent).
-    pub fn decode_seeded(self, bytes: &[u8], dec: &mut DecodeScratch) -> DecodedProof {
-        DecodedProof::seed(self.decode_bytes_with(bytes, dec))
     }
 
     /// Serialize + deserialize one proof, returning the wire size.
@@ -362,7 +346,7 @@ pub fn run_validated_pass_traced(
 
         let t2 = Instant::now();
         let wire_len = format.encode_into(unit, &mut scratch);
-        let decoded = format.decode_seeded(&scratch.buf, &mut scratch.dec);
+        let decoded = format.decode_scratch(&mut scratch);
         let io = t2.elapsed();
         report.time_io += io;
         tel.registry().record_duration("time.io", io);
@@ -370,7 +354,7 @@ pub fn run_validated_pass_traced(
         tel.count(format.bytes_counter(), wire_len as u64);
 
         let t3 = Instant::now();
-        let outcome = match validate_with_interner(&decoded.unit, checker, tel, decoded.interner) {
+        let outcome = match validate_with_telemetry(&decoded, checker, tel) {
             Ok(Verdict::Valid) => {
                 tel.count("pipeline.validated", 1);
                 StepOutcome::Valid

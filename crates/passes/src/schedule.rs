@@ -1,9 +1,15 @@
 //! A reusable std-only scoped work-stealing pool.
 //!
 //! Extracted from the parallel validation engine so other embarrassingly
-//! parallel fan-outs — notably the fuzzing campaign's per-seed fan-out —
-//! run on the *same* scheduler with the same determinism contract:
+//! parallel fan-outs — the fuzzing campaign's per-seed fan-out and
+//! `crellvm check`'s per-file fan-out — run on the *same* scheduler with
+//! the same determinism contract:
 //!
+//! * **The caller is worker 0.** Only workers `1..n` get fresh threads,
+//!   so a one-worker run is a plain loop on the calling thread. On small
+//!   hosts this matters: on a 2-vCPU VM with about one effective core,
+//!   the same allocation-heavy work ran 1.25–1.47× slower on a freshly
+//!   spawned thread than on the caller.
 //! * **Interleaved size-rank seeding.** Items are ranked by a caller
 //!   weight (largest first, original index as tie-break) and rank `r` is
 //!   dealt to worker `r mod workers`' deque, so every worker starts with a
@@ -39,7 +45,9 @@ pub struct PoolOutput<R, S> {
 ///   many items it stole) into a summary.
 ///
 /// The worker count is clamped to `1..=n` (a single worker for an empty
-/// input, so summaries are never empty).
+/// input, so summaries are never empty). The calling thread is worker 0;
+/// only workers `1..workers` get threads of their own, so a one-worker
+/// run spawns nothing and runs every item inline on the caller.
 ///
 /// # Panics
 ///
@@ -56,42 +64,6 @@ where
     R: Send,
     S: Send,
 {
-    run_work_stealing_batched(
-        n,
-        workers,
-        weight,
-        init,
-        |w, state, i| vec![(i, work(w, state, i))],
-        |w, state, steals| (Vec::new(), finish(w, state, steals)),
-    )
-}
-
-/// [`run_work_stealing`] for *pipelined* callers: `work` may complete
-/// items out of band, returning zero or more `(item, result)` pairs per
-/// call, and `finish` returns any results still pending when the worker's
-/// queue runs dry. This is what lets a worker overlap stages — dispatch
-/// item `i` to a helper (e.g. the decode-ahead thread), keep pulling new
-/// items, and emit `i`'s result on a later call once the helper delivers.
-///
-/// The contract is unchanged: across all `work` and `finish` returns,
-/// every item index in `0..n` must appear exactly once.
-///
-/// # Panics
-///
-/// Propagates panics from worker closures; panics if an item is reported
-/// twice or never.
-pub fn run_work_stealing_batched<R, S, St>(
-    n: usize,
-    workers: usize,
-    weight: impl Fn(usize) -> usize + Sync,
-    init: impl Fn(usize) -> St + Sync,
-    work: impl Fn(usize, &mut St, usize) -> Vec<(usize, R)> + Sync,
-    finish: impl Fn(usize, St, u64) -> (Vec<(usize, R)>, S) + Sync,
-) -> PoolOutput<R, S>
-where
-    R: Send,
-    S: Send,
-{
     let workers = workers.max(1).min(n.max(1));
 
     // Interleaved size-rank seeding (see module docs).
@@ -101,48 +73,46 @@ where
         .map(|w| Mutex::new(ranked.iter().copied().skip(w).step_by(workers).collect()))
         .collect();
 
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut summaries: Vec<Option<S>> = (0..workers).map(|_| None).collect();
-    let worker_outputs = std::thread::scope(|scope| {
-        let queues = &queues;
-        let (init, work, finish) = (&init, &work, &finish);
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    let mut produced: Vec<(usize, R)> = Vec::new();
-                    let mut steals = 0u64;
-                    loop {
-                        let mut item = queues[w].lock().expect("queue poisoned").pop_front();
-                        if item.is_none() {
-                            for off in 1..workers {
-                                let victim = (w + off) % workers;
-                                let stolen =
-                                    queues[victim].lock().expect("queue poisoned").pop_back();
-                                if stolen.is_some() {
-                                    steals += 1;
-                                    item = stolen;
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(i) = item else { break };
-                        produced.extend(work(w, &mut state, i));
+    let run_worker = |w: usize| {
+        let mut state = init(w);
+        let mut produced: Vec<(usize, R)> = Vec::new();
+        let mut steals = 0u64;
+        loop {
+            let mut item = queues[w].lock().expect("queue poisoned").pop_front();
+            if item.is_none() {
+                for off in 1..workers {
+                    let victim = (w + off) % workers;
+                    let stolen = queues[victim].lock().expect("queue poisoned").pop_back();
+                    if stolen.is_some() {
+                        steals += 1;
+                        item = stolen;
+                        break;
                     }
-                    let (rest, summary) = finish(w, state, steals);
-                    produced.extend(rest);
-                    (produced, summary)
-                })
-            })
+                }
+            }
+            let Some(i) = item else { break };
+            produced.push((i, work(w, &mut state, i)));
+        }
+        (produced, finish(w, state, steals))
+    };
+    let worker_outputs = std::thread::scope(|scope| {
+        let run_worker = &run_worker;
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || run_worker(w)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect::<Vec<_>>()
+        let mut outputs = vec![run_worker(0)];
+        outputs.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("pool worker panicked")),
+        );
+        outputs
     });
 
-    for (w, (produced, summary)) in worker_outputs.into_iter().enumerate() {
-        summaries[w] = Some(summary);
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut summaries = Vec::with_capacity(workers);
+    for (produced, summary) in worker_outputs {
+        summaries.push(summary);
         for (i, r) in produced {
             debug_assert!(slots[i].is_none(), "item {i} processed twice");
             slots[i] = Some(r);
@@ -153,10 +123,7 @@ where
             .into_iter()
             .map(|s| s.expect("every item processed exactly once"))
             .collect(),
-        worker_summaries: summaries
-            .into_iter()
-            .map(|s| s.expect("every worker finished"))
-            .collect(),
+        worker_summaries: summaries,
     }
 }
 
@@ -182,27 +149,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_workers_may_defer_results_to_finish() {
-        // Each worker holds results back and flushes two at a time; the
-        // stragglers come out through `finish`. The pool must still
-        // reassemble every item in order.
-        for workers in [1, 2, 4] {
-            let out = run_work_stealing_batched(
-                9,
+    fn worker_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for workers in [1, 3] {
+            let out = run_work_stealing(
+                24,
                 workers,
-                |i| i,
-                |_| Vec::new(),
-                |_, held: &mut Vec<usize>, i| {
-                    held.push(i);
-                    if held.len() >= 2 {
-                        held.drain(..).map(|j| (j, j * 3)).collect()
-                    } else {
-                        Vec::new()
-                    }
-                },
-                |_, held, steals| (held.into_iter().map(|j| (j, j * 3)).collect(), steals),
+                |_| 1,
+                |_| (),
+                |w, _, _| (w, std::thread::current().id()),
+                |w, _, _| (w, std::thread::current().id()),
             );
-            assert_eq!(out.results, (0..9).map(|i| i * 3).collect::<Vec<_>>());
+            // Every worker reports its thread, even one left without items.
+            for &(w, id) in &out.worker_summaries {
+                assert_eq!(id == caller, w == 0, "worker {w} of {workers}");
+            }
+            for (i, &(w, id)) in out.results.iter().enumerate() {
+                assert_eq!(id == caller, w == 0, "item {i} on worker {w} of {workers}");
+            }
         }
     }
 

@@ -148,16 +148,6 @@ impl Telemetry {
         CausalSpan::open(self.spans.clone(), name, cat)
     }
 
-    /// Attach a field to the innermost open causal span (no-op without a
-    /// collector or an open span). Lets deep callees — e.g. the checker
-    /// flushing interner statistics — annotate the enclosing phase span
-    /// without threading the guard down the call stack.
-    pub fn annotate(&self, key: &str, value: json::Value) {
-        if let Some(spans) = &self.spans {
-            spans.field(key, value);
-        }
-    }
-
     /// The attached span collector, if any.
     pub fn span_collector(&self) -> Option<Arc<SpanCollector>> {
         self.spans.clone()

@@ -11,7 +11,7 @@
 //! * **self weight** — total minus the children's totals (clamped at
 //!   zero), i.e. time spent *in* the frame rather than below it;
 //! * **attribution** — every numeric span field summed per stack
-//!   (`proof_bytes`, `intern_hits`, `intern_misses`, ...).
+//!   (`proof_bytes`, ...).
 //!
 //! Two weight models mirror the workspace's determinism contract:
 //!
@@ -280,7 +280,7 @@ mod tests {
         rule2.dur_ns = 20;
         let mut row = SpanNode::new("block entry, row 0", "proof");
         row.dur_ns = 50;
-        row.fields.insert("intern_hits".into(), Value::UInt(7));
+        row.fields.insert("preds".into(), Value::UInt(7));
         row.children = vec![rule1, rule2];
         let mut pcheck = SpanNode::new("pcheck", "phase");
         pcheck.dur_ns = 80;
@@ -315,7 +315,7 @@ mod tests {
         // The row's self time excludes its rules.
         let row = find("block entry, row 0");
         assert_eq!(row.self_ns, 20);
-        assert_eq!(row.attr("intern_hits"), 7);
+        assert_eq!(row.attr("preds"), 7);
         // Module and function frames are pure parents: zero self time.
         assert_eq!(find("m").self_ns, 0);
         assert_eq!(find("@f").self_ns, 0);

@@ -65,11 +65,12 @@
 //! snapshot in OpenMetrics text exposition format.
 //!
 //! `opt --jobs N` and `check --jobs N` fan the per-function validation
-//! work across N worker threads (default: the machine's available
-//! parallelism). Validation units are independent, so the transformed
-//! module, the per-step output lines, and every measurement metric are
-//! identical at any thread count; only wall-clock timers and the
-//! scheduling counters (`pipeline.jobs`, `validate.steal.*`) vary.
+//! work across N workers — the main thread plus N-1 spawned ones
+//! (default: the machine's available parallelism). Validation units are
+//! independent, so the transformed module, the per-step output lines, and
+//! every measurement metric are identical at any thread count; only
+//! wall-clock timers and the scheduling counters (`pipeline.jobs`,
+//! `validate.steal.*`) vary.
 //!
 //! `opt`, `check`, and `fuzz` accept `--progress human|json`: a live
 //! heartbeat line (items done/total, rate, ETA, cache hit rate, alarms)
@@ -88,8 +89,8 @@ use crellvm::gen::{generate_module, GenConfig};
 use crellvm::interp::{run_main, RunConfig, UndefPolicy};
 use crellvm::ir::{parse_module, printer::print_module, verify_module, Module};
 use crellvm::passes::{
-    default_jobs, run_validated_pass_parallel, BugSet, ParallelOptions, PassConfig, PipelineReport,
-    ProofFormat, StepOutcome,
+    default_jobs, run_validated_pass_parallel, run_work_stealing, BugSet, ParallelOptions,
+    PassConfig, PipelineReport, ProofFormat, StepOutcome,
 };
 use crellvm::telemetry::export::{chrome_trace, openmetrics};
 use crellvm::telemetry::forensics::ForensicBundle;
@@ -97,7 +98,6 @@ use crellvm::telemetry::{
     Profile, ProfileWeight, Progress, ProgressMode, Registry, Snapshot, SpanTree, Telemetry, Trace,
 };
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,7 +106,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(200);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v1|binary-v2] [--jobs N] [--decode-ahead N] [--cache-dir DIR] [--mmap] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--mmap] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier tree|bytecode|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--mmap] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
+        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v1|binary-v2] [--jobs N] [--cache-dir DIR] [--mmap] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--mmap] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier tree|bytecode|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--mmap] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -175,7 +175,6 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
     let mut binary = false;
     let mut format = ProofFormat::default();
     let mut jobs = default_jobs();
-    let mut decode_ahead: Option<usize> = None;
     let mut cache_dir: Option<String> = None;
     let mut mmap = false;
     let mut metrics: Option<String> = None;
@@ -205,14 +204,6 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
                 binary = !matches!(format, ProofFormat::Json);
             }
             "--jobs" => jobs = parse_jobs(it.next())?,
-            "--decode-ahead" => {
-                decode_ahead = Some(
-                    it.next()
-                        .ok_or("--decode-ahead needs a window size")?
-                        .parse()
-                        .map_err(|e| format!("bad --decode-ahead: {e}"))?,
-                )
-            }
             "--cache-dir" => cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone()),
             "--mmap" => mmap = true,
             "--metrics" => metrics = Some(it.next().ok_or("--metrics needs a path")?.clone()),
@@ -251,7 +242,7 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
         p.start_ticker(PROGRESS_PERIOD);
         p
     });
-    let mut opts = ParallelOptions {
+    let opts = ParallelOptions {
         jobs,
         format,
         spans: spans.is_some(),
@@ -260,9 +251,6 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
         progress: progress.clone(),
         ..ParallelOptions::default()
     };
-    if let Some(window) = decode_ahead {
-        opts.decode_ahead = window;
-    }
     tel.count("pipeline.jobs", jobs as u64);
     let mut report = PipelineReport::default();
     let mut failures = 0usize;
@@ -495,114 +483,85 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         };
         units.push((path, key, unit));
     }
-    // Fan validation across workers; results are scattered back by file
-    // index so the output order matches the command line at any -j.
-    let workers = jobs.max(1).min(units.len());
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<(String, bool)>> = units.iter().map(|_| None).collect();
+    // Fan validation over the shared work-stealing pool. Results come back
+    // by file index, so the output order matches the command line at any
+    // -j; equal weights deal files in command-line order, and at --jobs 1
+    // every file is checked on this thread.
     let cache = cache.as_deref();
-    let worker_outputs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let wreg = Arc::new(Registry::new());
-                    let mut wtel = Telemetry::with_registry(Arc::clone(&wreg));
-                    if let Some(t) = tel.trace_handle() {
-                        wtel = wtel.with_trace(t);
+    let pool = run_work_stealing(
+        units.len(),
+        jobs,
+        |_| 0,
+        |_w| {
+            let wreg = Arc::new(Registry::new());
+            let mut wtel = Telemetry::with_registry(Arc::clone(&wreg));
+            if let Some(t) = tel.trace_handle() {
+                wtel = wtel.with_trace(t);
+            }
+            (wreg, wtel)
+        },
+        |_w, (_, wtel), i| {
+            let (path, key, unit) = &units[i];
+            let cached = cache.and_then(|c| c.get(*key)).and_then(|e| {
+                let item = check_line_from_entry(path.as_str(), unit, &e)?;
+                wtel.count("cache.hits", 1);
+                if let Some(p) = &progress {
+                    p.add_cache_hit();
+                }
+                Some(item)
+            });
+            let item = cached.unwrap_or_else(|| {
+                if cache.is_some() {
+                    wtel.count("cache.misses", 1);
+                    if let Some(p) = &progress {
+                        p.add_cache_miss();
                     }
-                    let mut produced = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, key, unit)) = units.get(i) else {
-                            break;
-                        };
-                        let cached = cache.and_then(|c| c.get(*key)).and_then(|e| {
-                            let item = check_line_from_entry(path.as_str(), unit, &e)?;
-                            wtel.count("cache.hits", 1);
-                            if let Some(p) = &progress {
-                                p.add_cache_hit();
-                            }
-                            Some(item)
-                        });
-                        let item = match cached {
-                            Some(item) => item,
-                            None => {
-                                if cache.is_some() {
-                                    wtel.count("cache.misses", 1);
-                                    if let Some(p) = &progress {
-                                        p.add_cache_miss();
-                                    }
-                                }
-                                let (item, entry) =
-                                    match validate_with_telemetry(unit, &checker, &wtel) {
-                                        Ok(Verdict::Valid) => (
-                                            (
-                                                format!(
-                                                    "{path}: valid ({} @{})",
-                                                    unit.pass, unit.src.name
-                                                ),
-                                                false,
-                                            ),
-                                            CacheEntry::new(
-                                                crellvm::erhl::cache::OUTCOME_VALID,
-                                                String::new(),
-                                            ),
-                                        ),
-                                        Ok(Verdict::NotSupported(r)) => (
-                                            (format!("{path}: not-supported ({r})"), false),
-                                            CacheEntry::new(
-                                                crellvm::erhl::cache::OUTCOME_NOT_SUPPORTED,
-                                                r,
-                                            ),
-                                        ),
-                                        Err(e) => (
-                                            (
-                                                format!(
-                                                    "{path}: FAILED at {}\n    reason: {}",
-                                                    e.at, e.reason
-                                                ),
-                                                true,
-                                            ),
-                                            CacheEntry::new(
-                                                crellvm::erhl::cache::OUTCOME_FAILED,
-                                                format!("{}\n{}", e.at, e.reason),
-                                            ),
-                                        ),
-                                    };
-                                if let Some(c) = cache {
-                                    if c.insert(*key, entry) {
-                                        wtel.count("cache.evictions", 1);
-                                    }
-                                }
-                                item
-                            }
-                        };
-                        produced.push((i, item));
-                        if let Some(p) = &progress {
-                            p.add_done(1);
-                        }
+                }
+                let (item, entry) = match validate_with_telemetry(unit, &checker, wtel) {
+                    Ok(Verdict::Valid) => (
+                        (
+                            format!("{path}: valid ({} @{})", unit.pass, unit.src.name),
+                            false,
+                        ),
+                        CacheEntry::new(crellvm::erhl::cache::OUTCOME_VALID, String::new()),
+                    ),
+                    Ok(Verdict::NotSupported(r)) => (
+                        (format!("{path}: not-supported ({r})"), false),
+                        CacheEntry::new(crellvm::erhl::cache::OUTCOME_NOT_SUPPORTED, r),
+                    ),
+                    Err(e) => (
+                        (
+                            format!("{path}: FAILED at {}\n    reason: {}", e.at, e.reason),
+                            true,
+                        ),
+                        CacheEntry::new(
+                            crellvm::erhl::cache::OUTCOME_FAILED,
+                            format!("{}\n{}", e.at, e.reason),
+                        ),
+                    ),
+                };
+                if let Some(c) = cache {
+                    if c.insert(*key, entry) {
+                        wtel.count("cache.evictions", 1);
                     }
-                    (produced, wreg.snapshot())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("check worker panicked"))
-            .collect::<Vec<_>>()
-    });
+                }
+                item
+            });
+            if let Some(p) = &progress {
+                p.add_done(1);
+            }
+            item
+        },
+        |_w, (wreg, _), _steals| wreg.snapshot(),
+    );
     if let Some(p) = &progress {
         p.finish();
     }
-    for (produced, snapshot) in worker_outputs {
-        registry.merge_snapshot(&snapshot);
-        for (i, item) in produced {
-            slots[i] = Some(item);
-        }
+    for snapshot in &pool.worker_summaries {
+        registry.merge_snapshot(snapshot);
     }
     let mut failures = 0usize;
-    for slot in slots {
-        let (line, failed) = slot.expect("every proof file validated");
+    for (line, failed) in pool.results {
         println!("{line}");
         failures += usize::from(failed);
     }
@@ -655,10 +614,8 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
         ms("time.pcheck"),
     );
 
-    // Validation-engine health: worker count, expression-interner
-    // effectiveness (hit rate ~ allocations avoided), steal balance.
-    let hits = counter("expr.intern.hits");
-    let misses = counter("expr.intern.misses");
+    // Validation-engine health: worker count, cache effectiveness, proof
+    // bytes per wire format, steal balance.
     let mut steals: Vec<(&String, u64)> = snap
         .counters
         .iter()
@@ -675,7 +632,6 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
     let io_rows = ["io.bytes.json", "io.bytes.v1", "io.bytes.v2"];
     let io_total: u64 = io_rows.iter().map(|r| counter(r)).sum();
     if counter("pipeline.jobs") > 0
-        || hits + misses > 0
         || !steals.is_empty()
         || cache_hits + cache_misses > 0
         || io_total > 0
@@ -684,12 +640,6 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
         let _ = writeln!(out, "{:<34} {:>12}", "engine", "value");
         if counter("pipeline.jobs") > 0 {
             let _ = writeln!(out, "  {:<32} {:>12}", "jobs", counter("pipeline.jobs"));
-        }
-        if hits + misses > 0 {
-            let _ = writeln!(out, "  {:<32} {hits:>12}", "expr.intern.hits");
-            let _ = writeln!(out, "  {:<32} {misses:>12}", "expr.intern.misses");
-            let rate = 100.0 * hits as f64 / (hits + misses) as f64;
-            let _ = writeln!(out, "  {:<32} {:>11.1}%", "expr.intern.hit_rate", rate);
         }
         if cache_hits + cache_misses > 0 {
             let _ = writeln!(out, "  {:<32} {cache_hits:>12}", "cache.hits");

@@ -153,30 +153,6 @@ fn time_profile_root_total_tracks_wall_time() {
     );
 }
 
-/// Intern statistics flow from the checker into the pcheck phase frames.
-#[test]
-fn profile_attributes_intern_stats_to_pcheck() {
-    let profile = Profile::from_tree(&run(PROGRAM, 2).span_tree("m"));
-    let pcheck: Vec<_> = profile
-        .entries
-        .iter()
-        .filter(|e| e.cat == "phase" && e.stack.last().map(String::as_str) == Some("pcheck"))
-        .collect();
-    assert!(!pcheck.is_empty(), "no pcheck phase entries");
-    let hits: u64 = pcheck.iter().map(|e| e.attr("intern_hits")).sum();
-    let misses: u64 = pcheck.iter().map(|e| e.attr("intern_misses")).sum();
-    assert!(
-        hits + misses > 0,
-        "no intern statistics attributed to pcheck"
-    );
-    // And the rendered table surfaces them.
-    let table = profile.top_table(ProfileWeight::Cost, 100);
-    assert!(
-        table.contains("intern_hits="),
-        "table lacks intern attribution:\n{table}"
-    );
-}
-
 /// `--top` caps the table and says what it dropped.
 #[test]
 fn top_table_caps_and_reports_whats_hidden() {

@@ -115,6 +115,37 @@ fn sentinel_handles_first_run_and_unseen_metrics() {
     assert!(report.render().contains("no baseline yet"));
 }
 
+/// A metric the baseline window recorded but the current run no longer
+/// emits is listed as retired, never judged and never a regression.
+#[test]
+fn sentinel_lists_retired_metrics() {
+    let mut baseline = noisy_history(5, 100.0, 400.0);
+    baseline[3].metric("intern_hit_rate", 0.85);
+    let current = record(
+        "retire",
+        &[
+            ("pcheck_ms.j1", 100.0),
+            ("wall_ms.j1", 400.0),
+            ("fuzz.exec_per_s", 5000.0),
+        ],
+    );
+    let report = compare(&current, &baseline, &CompareConfig::default());
+    assert!(!report.has_regression());
+    assert_eq!(report.retired, vec!["intern_hit_rate".to_string()]);
+    assert!(report.deltas.iter().all(|d| d.metric != "intern_hit_rate"));
+    let rendered = report.render();
+    assert!(
+        rendered.contains("intern_hit_rate") && rendered.contains("retired"),
+        "{rendered}"
+    );
+    // Outside the window it is forgotten.
+    let narrow = CompareConfig {
+        window: 1,
+        ..CompareConfig::default()
+    };
+    assert!(compare(&current, &baseline, &narrow).retired.is_empty());
+}
+
 /// Lower-is-better vs higher-is-better: a throughput collapse regresses
 /// even though the number went down.
 #[test]

@@ -1,9 +1,8 @@
 //! Warm-cache byte-identity, end to end: replaying verdicts from a
 //! populated `--cache-dir` must produce *exactly* the bytes of a cold
-//! uncached run — at every worker count, with the decode-ahead pipeline
-//! on, and whether proof artifacts are read from the heap or through the
-//! mmap reader — both for offline `crellvm opt` stdout and for served
-//! `Accept: text/plain` responses.
+//! uncached run — at every worker count, and whether proof artifacts are
+//! read from the heap or through the mmap reader — both for offline
+//! `crellvm opt` stdout and for served `Accept: text/plain` responses.
 
 use crellvm::serve::http::call;
 use std::io::{BufRead, BufReader};
