@@ -19,16 +19,16 @@
 //! appends a flat [`HistoryRecord`] to `BENCH_history.jsonl` (override
 //! with `CRELLVM_BENCH_HISTORY`; provenance from `CRELLVM_GIT_SHA` /
 //! `CRELLVM_BENCH_TIMESTAMP`) and times a small fuzz campaign into
-//! `BENCH_fuzz.json` for the oracle-throughput (exec/s) axis, alongside
-//! a pure-interpreter microbench comparing the tree-walk and bytecode
-//! tiers (`fuzz.exec_per_s.tree` / `fuzz.exec_per_s.bc`).
+//! `BENCH_fuzz.json` for the oracle-throughput (exec/s) axis, once on
+//! each interpreter tier (`fuzz.campaign_exec_per_s.tree` /
+//! `fuzz.campaign_exec_per_s.bc`); the two reports must be identical.
 
 use crellvm_bench::history::{self, HistoryRecord};
 use crellvm_core::{proof_from_bytes, proof_from_json, proof_to_bytes, proof_to_json, ProofUnit};
 use crellvm_core::{CheckerConfig, ValidationCache};
-use crellvm_fuzz::{run_campaign, CampaignConfig};
+use crellvm_fuzz::{run_campaign, CampaignConfig, OracleConfig};
 use crellvm_gen::{generate_module, GenConfig};
-use crellvm_interp::{compile_module, run_main_tiered, RunConfig, Tier};
+use crellvm_interp::Tier;
 use crellvm_passes::{
     default_jobs, run_pipeline_parallel, run_validated_pass_parallel, CodecScratch,
     ParallelOptions, PassConfig, PipelineReport, ProofFormat,
@@ -84,17 +84,16 @@ struct CacheBench {
     warm_over_cold_wall: f64,
 }
 
-/// Pure-interpreter throughput for one tier over the kernel corpus.
+/// The bench's fuzz campaign on one interpreter tier.
 #[derive(Serialize)]
 struct TierExec {
     tier: String,
-    /// `main` invocations timed (kernels × repeat runs).
-    runs: u64,
-    /// Interpreter steps executed; identical across tiers by parity.
+    /// Oracle steps; identical across tiers, as is the whole report.
     steps: u64,
     wall_ms: f64,
-    /// Steps per second. Equal step counts make the cross-tier ratio a
-    /// pure measure of dispatch cost.
+    /// Time inside the refinement leg's interpreter runs.
+    interp_exec_ms: f64,
+    /// Oracle steps per second of campaign wall time.
     exec_per_s: f64,
 }
 
@@ -105,11 +104,11 @@ struct FuzzBench {
     wall_ms: f64,
     exec_per_s: f64,
     verdicts: std::collections::BTreeMap<String, u64>,
-    /// Per-tier interpreter throughput (tree, then bytecode), measured
-    /// with compilation hoisted out of the timed region.
+    /// The same campaign per tier (tree, then bytecode), compilation
+    /// included.
     interp_tiers: Vec<TierExec>,
-    /// Bytecode exec/s over tree exec/s — the tiering win the bytecode
-    /// interpreter exists to deliver (target ≥5×).
+    /// Bytecode campaign exec/s over tree campaign exec/s — the tiering
+    /// win as the fuzzer sees it.
     interp_bc_over_tree: f64,
 }
 
@@ -176,26 +175,6 @@ fn corpus() -> Vec<crellvm_ir::Module> {
             generate_module(&GenConfig {
                 seed: 0xbe9c + k as u64,
                 functions: 16,
-                ..GenConfig::default()
-            })
-        })
-        .collect()
-}
-
-/// Corpus for the interpreter-tier microbench: generated modules from
-/// the same generator family the fuzz campaign executes. The bytecode
-/// tier exists to make the oracle's refinement legs cheap, so its
-/// speedup is measured on the oracle's own workload, not on synthetic
-/// kernels (those live in `tests/tier_differential.rs` as parity
-/// regressions).
-fn interp_corpus() -> Vec<crellvm_ir::Module> {
-    let modules = env_usize("CRELLVM_BENCH_INTERP_MODULES", 8);
-    (0..modules)
-        .map(|k| {
-            generate_module(&GenConfig {
-                seed: 0x7e57 + k as u64,
-                // The fuzz campaign's own shape (CampaignConfig::default).
-                functions: 3,
                 ..GenConfig::default()
             })
         })
@@ -417,9 +396,9 @@ fn main() {
         cache_stats.warm_over_cold_wall
     );
 
-    // Small fuzz campaign for the oracle-throughput axis. One oracle step
-    // is one (program, pass) three-way comparison, so steps/second is the
-    // fuzzer's exec/s.
+    // Small fuzz campaign for the oracle-throughput axis, run once on
+    // each interpreter tier. One oracle step is one (program, pass)
+    // three-way comparison, so steps/second is the fuzzer's exec/s.
     let fuzz_seeds = env_usize("CRELLVM_BENCH_FUZZ_SEEDS", 16) as u64;
     let fuzz_cfg = CampaignConfig {
         seed_start: 0,
@@ -427,59 +406,53 @@ fn main() {
         mutate_rate: 0.25,
         ..CampaignConfig::default()
     };
-    let (fuzz_wall, fuzz_report) = median_rep(reps, || {
-        let tel = Telemetry::disabled();
-        let t = Instant::now();
-        let report = run_campaign(&fuzz_cfg, &tel);
-        (ms(t.elapsed()), report)
-    });
-    // Interpreter-tier microbench: the same corpus under each tier,
-    // compilation hoisted out of the timed region. Tier parity makes the
-    // step counts identical, so the exec/s ratio is pure dispatch speed.
-    let kernels = interp_corpus();
-    let kernels_bc: Vec<_> = kernels.iter().map(compile_module).collect();
-    let interp_runs = env_usize("CRELLVM_BENCH_INTERP_RUNS", 8) as u64;
-    let run_tier = |tier: Tier| -> TierExec {
-        let cfg = RunConfig {
-            tier,
-            fuel: 1_000_000,
-            ..RunConfig::default()
+    let run_tier = |tier: Tier| {
+        let cfg = CampaignConfig {
+            oracle: OracleConfig {
+                tier,
+                ..fuzz_cfg.oracle.clone()
+            },
+            ..fuzz_cfg.clone()
         };
-        let (wall, steps) = median_rep(reps, || {
-            let mut steps = 0u64;
+        let (wall, (report, snap)) = median_rep(reps, || {
+            let tel = Telemetry::disabled();
             let t = Instant::now();
-            for _ in 0..interp_runs {
-                for (m, bc) in kernels.iter().zip(&kernels_bc) {
-                    steps += run_main_tiered(m, &cfg, Some(bc)).result.steps;
-                }
-            }
-            (ms(t.elapsed()), steps)
+            let report = run_campaign(&cfg, &tel);
+            (ms(t.elapsed()), (report, tel.registry().snapshot()))
         });
-        TierExec {
+        let exec = TierExec {
             tier: tier.name().to_string(),
-            runs: interp_runs * kernels.len() as u64,
-            steps,
+            steps: report.steps,
             wall_ms: wall,
-            exec_per_s: steps as f64 / (wall / 1e3).max(1e-9),
-        }
+            interp_exec_ms: timer_ms(&snap, "interp.tier.exec"),
+            exec_per_s: report.steps as f64 / (wall / 1e3).max(1e-9),
+        };
+        (exec, report)
     };
-    let tier_tree = run_tier(Tier::Tree);
-    let tier_bc = run_tier(Tier::Bytecode);
+    let (tier_tree, tree_report) = run_tier(Tier::Tree);
+    let (tier_bc, fuzz_report) = run_tier(Tier::Bytecode);
     assert_eq!(
-        tier_tree.steps, tier_bc.steps,
-        "tier parity: both tiers must execute identical step counts"
+        tree_report.to_json(),
+        fuzz_report.to_json(),
+        "tier parity: the campaign report must not depend on the tier"
     );
     let interp_bc_over_tree = tier_bc.exec_per_s / tier_tree.exec_per_s.max(1e-9);
     println!(
-        "\ninterp: tree {:.0} exec/s, bytecode {:.0} exec/s ({:.2}x) over {} runs",
-        tier_tree.exec_per_s, tier_bc.exec_per_s, interp_bc_over_tree, tier_tree.runs
+        "\ninterp: campaign on tree {:.0} exec/s ({:.2} ms interp), bytecode {:.0} exec/s ({:.2} ms interp): {:.2}x",
+        tier_tree.exec_per_s,
+        tier_tree.interp_exec_ms,
+        tier_bc.exec_per_s,
+        tier_bc.interp_exec_ms,
+        interp_bc_over_tree
     );
 
+    // The headline numbers are the campaign on its default tier,
+    // bytecode.
     let fuzz = FuzzBench {
         seeds: fuzz_seeds,
         steps: fuzz_report.steps,
-        wall_ms: fuzz_wall,
-        exec_per_s: fuzz_report.steps as f64 / (fuzz_wall / 1e3).max(1e-9),
+        wall_ms: tier_bc.wall_ms,
+        exec_per_s: tier_bc.exec_per_s,
         verdicts: fuzz_report.verdicts.clone(),
         interp_tiers: vec![tier_tree, tier_bc],
         interp_bc_over_tree,
@@ -562,14 +535,14 @@ fn history_record(out: &BenchOutput) -> HistoryRecord {
         warm.hits as f64 / (warm.hits + warm.misses).max(1) as f64,
     );
     rec.metric("fuzz.exec_per_s", out.fuzz.exec_per_s);
-    // Per-tier interpreter throughput; "exec_per_s" in the name makes
-    // the sentinel treat both as higher-is-better.
+    // Per-tier campaign throughput; "exec_per_s" in the name makes the
+    // sentinel treat both as higher-is-better.
     for t in &out.fuzz.interp_tiers {
         let key = match t.tier.as_str() {
             "bytecode" => "bc",
             other => other,
         };
-        rec.metric(&format!("fuzz.exec_per_s.{key}"), t.exec_per_s);
+        rec.metric(&format!("fuzz.campaign_exec_per_s.{key}"), t.exec_per_s);
     }
     rec
 }

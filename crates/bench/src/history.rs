@@ -631,17 +631,17 @@ mod tests {
             Direction::HigherIsBetter
         );
         assert_eq!(direction_of("fuzz.exec_per_s"), Direction::HigherIsBetter);
-        // Per-tier interpreter throughput: a bytecode-tier slowdown must
+        // Per-tier campaign throughput: a bytecode-tier slowdown must
         // read as a regression, and neither key is parallelism-gated.
         assert_eq!(
-            direction_of("fuzz.exec_per_s.tree"),
+            direction_of("fuzz.campaign_exec_per_s.tree"),
             Direction::HigherIsBetter
         );
         assert_eq!(
-            direction_of("fuzz.exec_per_s.bc"),
+            direction_of("fuzz.campaign_exec_per_s.bc"),
             Direction::HigherIsBetter
         );
-        assert!(!parallelism_sensitive("fuzz.exec_per_s.bc"));
+        assert!(!parallelism_sensitive("fuzz.campaign_exec_per_s.bc"));
         assert_eq!(direction_of("speedup.jmax"), Direction::HigherIsBetter);
     }
 }

@@ -920,20 +920,22 @@ mod tests {
         // The bytecode tier must be a pure performance substitution: the
         // deterministic report cannot depend on which tier executed the
         // refinement leg (nor on the jobs count).
+        assert_eq!(OracleConfig::default().tier, Tier::Bytecode);
         let base = CampaignConfig {
             seed_start: 0,
             seed_end: 5,
             jobs: 1,
             mutate_rate: 0.5,
+            oracle: OracleConfig {
+                tier: Tier::Tree,
+                ..OracleConfig::default()
+            },
             ..CampaignConfig::default()
         };
         let tree = run_campaign(&base, &Telemetry::disabled()).to_json();
         let bc_cfg = CampaignConfig {
             jobs: 2,
-            oracle: OracleConfig {
-                tier: Tier::Bytecode,
-                ..OracleConfig::default()
-            },
+            oracle: OracleConfig::default(),
             ..base.clone()
         };
         let bytecode = run_campaign(&bc_cfg, &Telemetry::disabled()).to_json();

@@ -42,10 +42,11 @@ pub struct OracleConfig {
     /// Interpreter fuel per run; an exhausted run makes the refinement
     /// observation inconclusive, never a pass.
     pub fuel: u64,
-    /// Which interpreter tier executes the refinement runs.
-    /// [`Tier::Differential`] turns tier disagreement into a fourth free
-    /// oracle: any bit-level mismatch between the tree-walk reference and
-    /// the bytecode tier surfaces as [`OracleVerdict::TierDivergence`].
+    /// Which interpreter tier executes the refinement runs. The default
+    /// is [`Tier::Bytecode`]; the tree walker stays the reference that
+    /// [`Tier::Differential`] checks it against, turning tier
+    /// disagreement into a fourth free oracle: any bit-level mismatch
+    /// between the two surfaces as [`OracleVerdict::TierDivergence`].
     pub tier: Tier,
 }
 
@@ -54,7 +55,7 @@ impl Default for OracleConfig {
         OracleConfig {
             input_seeds: 4,
             fuel: RunConfig::default().fuel,
-            tier: Tier::Tree,
+            tier: Tier::Bytecode,
         }
     }
 }

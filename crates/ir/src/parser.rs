@@ -264,7 +264,19 @@ impl FnCtx {
     }
 }
 
-fn parse_const(cur: &mut Cursor, ty: Type) -> Result<Const, ParseError> {
+/// Deepest constant-expression nesting the parser accepts. Generated
+/// modules nest at most 3 levels; the cap turns a hostile input (a
+/// megabyte of nested `sub(...)`) into a parse error instead of a stack
+/// overflow here or in any later recursive walk of the constant.
+const MAX_CONST_DEPTH: usize = 256;
+
+/// Parse a constant nested `depth` levels inside constant expressions.
+fn parse_const(cur: &mut Cursor, ty: Type, depth: usize) -> Result<Const, ParseError> {
+    if depth > MAX_CONST_DEPTH {
+        return Err(cur.err(format!(
+            "constant expression nested deeper than {MAX_CONST_DEPTH} levels"
+        )));
+    }
     match cur.next() {
         Some(Tok::Int(v)) => Ok(Const::int(ty, v)),
         Some(Tok::Global(g)) => Ok(Const::Global(g)),
@@ -273,7 +285,7 @@ fn parse_const(cur: &mut Cursor, ty: Type) -> Result<Const, ParseError> {
             "null" => Ok(Const::Null),
             "ptrtoint" => {
                 cur.expect(Tok::LParen)?;
-                let inner = parse_const(cur, Type::Ptr)?;
+                let inner = parse_const(cur, Type::Ptr, depth + 1)?;
                 let to_kw = cur.ident()?;
                 if to_kw != "to" {
                     return Err(cur.err("expected 'to' in ptrtoint constexpr"));
@@ -288,9 +300,9 @@ fn parse_const(cur: &mut Cursor, ty: Type) -> Result<Const, ParseError> {
                     .map_err(|_| cur.err(format!("unknown constant head '{op_name}'")))?;
                 cur.expect(Tok::LParen)?;
                 let ety = cur.ty()?;
-                let a = parse_const(cur, ety)?;
+                let a = parse_const(cur, ety, depth + 1)?;
                 cur.expect(Tok::Comma)?;
-                let b = parse_const(cur, ety)?;
+                let b = parse_const(cur, ety, depth + 1)?;
                 cur.expect(Tok::RParen)?;
                 Ok(ConstExpr::Bin(op, ety, a, b).into())
             }
@@ -309,7 +321,7 @@ fn parse_value(
         cur.next();
         Ok(Value::Reg(ctx.reg(f, &name)))
     } else {
-        Ok(Value::Const(parse_const(cur, ty)?))
+        Ok(Value::Const(parse_const(cur, ty, 0)?))
     }
 }
 
@@ -605,7 +617,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                     1
                 };
                 let init = if cur.eat(&Tok::Eq) {
-                    Some(parse_const(&mut cur, ty)?)
+                    Some(parse_const(&mut cur, ty, 0)?)
                 } else {
                     None
                 };
@@ -856,6 +868,26 @@ mod tests {
         let err = parse_module("define @f() {\nentry:\n  %x = bogus i32 1\n}\n").unwrap_err();
         assert_eq!(err.line, 3);
         assert!(err.to_string().contains("bogus"));
+    }
+
+    /// `%x = add i32 <c>, 0` where `<c>` is `depth` nested `sub`s.
+    fn nested_const_module(depth: usize) -> String {
+        format!(
+            "define @f() -> i32 {{\nentry:\n  %x = add i32 {}1{}, 0\n  ret i32 %x\n}}\n",
+            "sub(i32 ".repeat(depth),
+            ", 1)".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn constant_nesting_is_capped() {
+        assert!(parse_module(&nested_const_module(MAX_CONST_DEPTH)).is_ok());
+        let err = parse_module(&nested_const_module(MAX_CONST_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("nested deeper"), "{err}");
+        // Deep enough to overflow the stack without the cap.
+        let err = parse_module(&nested_const_module(200_000)).unwrap_err();
+        assert_eq!(err.line, 3);
     }
 
     #[test]

@@ -789,6 +789,24 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_constant_is_a_400_and_the_daemon_lives() {
+        let depth = 200_000;
+        let module = format!(
+            "define @f() -> i32 {{\nentry:\n  %x = add i32 {}1{}, 0\n  ret i32 %x\n}}\n",
+            "sub(i32 ".repeat(depth),
+            ", 1)".repeat(depth)
+        );
+        let (handle, addr) = start_test_server(ServeConfig::default());
+        let (status, _, body) =
+            call(&addr, "POST", "/v1/validate", &[], module.as_bytes()).unwrap();
+        assert_eq!(status, 400);
+        assert!(std::str::from_utf8(&body).unwrap().starts_with("error:"));
+        let (status, _, _) = call(&addr, "GET", "/healthz", &[], &[]).unwrap();
+        assert_eq!(status, 200);
+        handle.shutdown();
+    }
+
+    #[test]
     fn v2_wire_module_body_round_trips() {
         let m = parse_module(PROGRAM).unwrap();
         let bytes = crellvm_core::serialize_bin::to_bytes_v2(&m).unwrap();

@@ -22,12 +22,13 @@
 //!     Judge the newest bench-history record against the recent window
 //!     with MAD noise bands; exits non-zero on a regression.
 //! crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R]
-//!              [--compiler 3.7.1|5.0.1-pre|none] [--out DIR]
+//!              [--compiler 3.7.1|5.0.1-pre|none]
+//!              [--tier bytecode|tree|differential] [--out DIR]
 //!     Run a reproducible soundness fuzzing campaign: generate programs,
 //!     optimize, inject seeded miscompilations, and cross-check the
-//!     checker against interpreter refinement; exits non-zero iff a
-//!     soundness alarm (checker accepts, refinement refutes) survives
-//!     minimization.
+//!     checker against interpreter refinement (on the bytecode tier
+//!     unless --tier says otherwise); exits non-zero iff a soundness
+//!     alarm (checker accepts, refinement refutes) survives minimization.
 //! crellvm serve [--addr HOST:PORT] [--queue N] [--cache-dir DIR]
 //!               [--access-log FILE] [--span-log FILE] [--bench ...]
 //!     Run the validation daemon: POST /v1/validate (IR text, JSON, or
@@ -106,7 +107,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(200);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v1|binary-v2] [--jobs N] [--cache-dir DIR] [--mmap] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--mmap] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier tree|bytecode|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--mmap] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
+        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v1|binary-v2] [--jobs N] [--cache-dir DIR] [--mmap] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--mmap] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--mmap] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -572,7 +573,8 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Render a metrics snapshot as the paper's Fig 6/8-style tables. The
+/// Render a metrics snapshot as the paper's Fig 6/8-style tables (for a
+/// pipeline snapshot) or a campaign table (for a fuzz snapshot). The
 /// inference-rule table shows the `top` most-applied rules.
 fn render_report(snap: &Snapshot, top: usize) -> String {
     use std::fmt::Write;
@@ -584,35 +586,69 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
     };
     let mut out = String::new();
 
-    // Fig 6/8: validation outcomes and the four time columns.
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>8}",
-        "validation", "#V", "#F", "#NS"
-    );
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>8}",
-        "",
-        counter("pipeline.steps"),
-        counter("pipeline.failed"),
-        counter("pipeline.not_supported"),
-    );
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>8} {:>8}",
-        "time (ms)", "Orig", "PCal", "I-O", "PCheck"
-    );
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
-        "",
-        ms("time.orig"),
-        ms("time.pcal"),
-        ms("time.io"),
-        ms("time.pcheck"),
-    );
+    // Fig 6/8: validation outcomes and the four time columns — only for a
+    // snapshot of the validation pipeline, so a fuzz campaign's metrics
+    // never render as a table of zeros.
+    if snap.counters.contains_key("pipeline.steps") {
+        let _ = writeln!(
+            out,
+            "{:<14} {:>8} {:>8} {:>8}",
+            "validation", "#V", "#F", "#NS"
+        );
+        let _ = writeln!(
+            out,
+            "{:<14} {:>8} {:>8} {:>8}",
+            "",
+            counter("pipeline.steps"),
+            counter("pipeline.failed"),
+            counter("pipeline.not_supported"),
+        );
+        let _ = writeln!(out);
+        let _ = writeln!(
+            out,
+            "{:<14} {:>8} {:>8} {:>8} {:>8}",
+            "time (ms)", "Orig", "PCal", "I-O", "PCheck"
+        );
+        let _ = writeln!(
+            out,
+            "{:<14} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "",
+            ms("time.orig"),
+            ms("time.pcal"),
+            ms("time.io"),
+            ms("time.pcheck"),
+        );
+    }
+
+    // Fuzz campaign: oracle verdicts and where the refinement leg's
+    // interpreter time went.
+    let verdicts: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .filter_map(|(k, v)| k.strip_prefix("fuzz.verdict.").map(|name| (name, *v)))
+        .collect();
+    if !verdicts.is_empty() {
+        if !out.is_empty() {
+            let _ = writeln!(out);
+        }
+        let _ = writeln!(out, "{:<34} {:>12}", "fuzz campaign", "value");
+        for (name, n) in verdicts {
+            let _ = writeln!(out, "  {:<32} {n:>12}", format!("verdict.{name}"));
+        }
+        for name in ["interp.tier.compile", "interp.tier.exec"] {
+            if snap.timers.contains_key(name) {
+                let _ = writeln!(out, "  {:<32} {:>12.2}", format!("{name} (ms)"), ms(name));
+            }
+        }
+        let bc_hits = counter("interp.bc.cache.hits");
+        let bc_misses = counter("interp.bc.cache.misses");
+        if bc_hits + bc_misses > 0 {
+            let _ = writeln!(out, "  {:<32} {bc_hits:>12}", "interp.bc.cache.hits");
+            let _ = writeln!(out, "  {:<32} {bc_misses:>12}", "interp.bc.cache.misses");
+            let rate = 100.0 * bc_hits as f64 / (bc_hits + bc_misses) as f64;
+            let _ = writeln!(out, "  {:<32} {:>11.1}%", "interp.bc.cache.hit_rate", rate);
+        }
+    }
 
     // Validation-engine health: worker count, cache effectiveness, proof
     // bytes per wire format, steal balance.
@@ -933,8 +969,13 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
     }
 
     println!(
-        "campaign: seeds {}..{} compiler {} mutate-rate {} ({} steps)",
-        report.seed_start, report.seed_end, report.compiler, report.mutate_rate, report.steps
+        "campaign: seeds {}..{} compiler {} mutate-rate {} tier {} ({} steps)",
+        report.seed_start,
+        report.seed_end,
+        report.compiler,
+        report.mutate_rate,
+        cfg.oracle.tier.name(),
+        report.steps
     );
     for (verdict, n) in &report.verdicts {
         println!("  {verdict:<17} {n}");

@@ -259,6 +259,60 @@ fn metrics_trace_and_report() {
 }
 
 #[test]
+fn report_of_fuzz_metrics_shows_the_campaign_not_pipeline_zeros() {
+    let metrics = tmpfile("fuzz_metrics.json");
+    let out = run(&[
+        "fuzz",
+        "--seeds",
+        "0..8",
+        "--jobs",
+        "1",
+        "--compiler",
+        "3.7.1",
+        "--mutate-rate",
+        "0.25",
+        "--metrics",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(" tier bytecode "), "{stdout}");
+
+    let out = run(&["report", metrics.to_str().unwrap()]);
+    assert!(out.status.success());
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(!report.contains("Orig"), "{report}");
+    assert!(!report.contains("#V"), "{report}");
+    assert!(report.starts_with("fuzz campaign"), "{report}");
+    assert!(report.contains("verdict.agree"), "{report}");
+    assert!(report.contains("interp.tier.exec (ms)"), "{report}");
+    assert!(report.contains("interp.bc.cache.hit_rate"), "{report}");
+
+    // An `opt` snapshot keeps the Fig 6/8 tables and gets no campaign table.
+    let prog = tmpfile("fuzz_report_opt.cll");
+    let out = run(&["gen", "--seed", "5", "--out", prog.to_str().unwrap()]);
+    assert!(out.status.success());
+    let opt_metrics = tmpfile("fuzz_report_opt.json");
+    let out = run(&[
+        "opt",
+        prog.to_str().unwrap(),
+        "--metrics",
+        opt_metrics.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let out = run(&["report", opt_metrics.to_str().unwrap()]);
+    let report = String::from_utf8_lossy(&out.stdout);
+    let header: Vec<&str> = report.lines().take(4).collect();
+    assert!(header[0].starts_with("validation") && header[0].contains("#V"));
+    assert!(header[3].starts_with("time (ms)") && header[3].contains("Orig"));
+    assert!(!report.contains("fuzz campaign"), "{report}");
+}
+
+#[test]
 fn cache_dir_serves_warm_runs_with_identical_verdicts() {
     let prog = tmpfile("cache.cll");
     let out = run(&[

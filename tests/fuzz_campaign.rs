@@ -24,16 +24,22 @@ fn campaign(compiler: &str, seeds: std::ops::Range<u64>, mutate: f64) -> Campaig
 fn reports_are_byte_identical_across_jobs_and_tiers() {
     // The report is a pure function of (seed range, config): neither the
     // worker count nor the interpreter tier executing the refinement leg
-    // may leak into a single byte of it.
+    // may leak into a single byte of it. The last row is the campaign
+    // default, pinned against the tree-walk reference.
+    let tier = |tier| OracleConfig {
+        tier,
+        ..OracleConfig::default()
+    };
     let mut texts = Vec::new();
-    for tier in [Tier::Tree, Tier::Bytecode] {
+    for oracle in [
+        tier(Tier::Tree),
+        tier(Tier::Bytecode),
+        OracleConfig::default(),
+    ] {
         for jobs in [1, 2, 8] {
             let cfg = CampaignConfig {
                 jobs,
-                oracle: OracleConfig {
-                    tier,
-                    ..OracleConfig::default()
-                },
+                oracle: oracle.clone(),
                 ..campaign("3.7.1", 0..25, 0.3)
             };
             texts.push(run_campaign(&cfg, &Telemetry::disabled()).to_json());
