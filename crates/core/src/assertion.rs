@@ -4,9 +4,9 @@
 use crate::expr::{Expr, Side, TReg, TValue};
 use crellvm_ir::RegId;
 use serde::de::{self, MapAccess, SeqAccess, Visitor};
-use serde::ser::{SerializeSeq, SerializeStruct};
+use serde::ser::{SerializeSeq, SerializeStruct, SerializeTupleVariant};
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A unary predicate over one side's (extended) state.
@@ -60,26 +60,47 @@ impl fmt::Display for Pred {
 /// A set of unary predicates for one side.
 ///
 /// Lessdef predicates — the bulk of every real assertion and the target of
-/// the checker's hottest lookups — are stored *decomposed* in a by-LHS map
-/// (plus a by-RHS reverse index kept in sync), so `has_lessdef`,
-/// `lessdef_rhs_of` and `lessdef_lhs_of` are keyed lookups instead of
-/// clone-and-scan over a flat `BTreeSet<Pred>`. The remaining predicate
-/// kinds (`Uniq` / `Priv` / `Noalias`) live in `others`.
+/// the checker's hottest lookups — are stored *decomposed* in two flat,
+/// sorted, duplicate-free vectors of pairs: `fwd` holds `(lhs, rhs)` in
+/// `(lhs, rhs)` order and `rev` holds the same pairs as `(rhs, lhs)` in
+/// `(rhs, lhs)` order. `has_lessdef` is a binary search, and
+/// `lessdef_rhs_of` / `lessdef_lhs_of` are contiguous ranges found with
+/// `partition_point`. The remaining predicate kinds (`Uniq` / `Priv` /
+/// `Noalias`) live in `others`.
+///
+/// Why vectors and not `BTreeMap<Expr, BTreeSet<Expr>>`: an `Expr` is
+/// about 100 bytes, so each per-key B-tree node is an allocation of more
+/// than a kilobyte — past the allocator's small-size cache, and about two
+/// per predicate on every clone, build and drop. The checker clones,
+/// builds and drops these sets on every proof row; a vector clones with
+/// one allocation per index.
 ///
 /// Iteration order is unchanged from the flat-set representation:
 /// `Pred::Lessdef` is the first enum variant, so the old `BTreeSet<Pred>`
 /// yielded all lessdefs (sorted by `(lhs, rhs)`) before the other
-/// predicates — exactly what chaining the sorted `fwd` map with `others`
-/// reproduces. Serialized form is byte-identical (`{"preds": [...]}`).
+/// predicates — exactly what chaining `fwd` with `others` reproduces.
+/// Serialized form is byte-identical (`{"preds": [...]}`).
 #[derive(Debug, Clone, Default)]
 pub struct Unary {
-    /// `lhs ⊒ rhs` pairs, keyed by lhs.
-    fwd: BTreeMap<Expr, BTreeSet<Expr>>,
-    /// Reverse index of `fwd`, keyed by rhs. Derived data — never compared
-    /// or serialized.
-    rev: BTreeMap<Expr, BTreeSet<Expr>>,
+    /// `(lhs, rhs)` for every `lhs ⊒ rhs`, sorted, no duplicates.
+    fwd: Vec<(Expr, Expr)>,
+    /// The pairs of `fwd` as `(rhs, lhs)`, sorted, no duplicates. Derived
+    /// data — never compared or serialized.
+    rev: Vec<(Expr, Expr)>,
     /// Non-lessdef predicates (`Uniq`, `Priv`, `Noalias`).
     others: BTreeSet<Pred>,
+}
+
+/// Binary search for the pair `(x, y)` in a sorted pair vector.
+fn find_pair(pairs: &[(Expr, Expr)], x: &Expr, y: &Expr) -> Result<usize, usize> {
+    pairs.binary_search_by(|(a, b)| a.cmp(x).then_with(|| b.cmp(y)))
+}
+
+/// The run of a sorted pair vector whose first component is `x`.
+fn pairs_led_by<'a>(pairs: &'a [(Expr, Expr)], x: &Expr) -> &'a [(Expr, Expr)] {
+    let start = pairs.partition_point(|(a, _)| a < x);
+    let len = pairs[start..].partition_point(|(a, _)| a == x);
+    &pairs[start..start + len]
 }
 
 impl PartialEq for Unary {
@@ -109,8 +130,10 @@ impl Unary {
 
     /// Insert `e1 ⊒ e2`.
     pub fn insert_lessdef(&mut self, e1: Expr, e2: Expr) {
-        if self.fwd.entry(e1.clone()).or_default().insert(e2.clone()) {
-            self.rev.entry(e2).or_default().insert(e1);
+        if let Err(i) = find_pair(&self.fwd, &e1, &e2) {
+            let j = find_pair(&self.rev, &e2, &e1).expect_err("rev index in sync with fwd");
+            self.fwd.insert(i, (e1.clone(), e2.clone()));
+            self.rev.insert(j, (e2, e1));
         }
     }
 
@@ -118,20 +141,12 @@ impl Unary {
     pub fn remove(&mut self, p: &Pred) -> bool {
         match p {
             Pred::Lessdef(a, b) => {
-                let Some(rhss) = self.fwd.get_mut(a) else {
+                let Ok(i) = find_pair(&self.fwd, a, b) else {
                     return false;
                 };
-                if !rhss.remove(b) {
-                    return false;
-                }
-                if rhss.is_empty() {
-                    self.fwd.remove(a);
-                }
-                let lhss = self.rev.get_mut(b).expect("rev index in sync with fwd");
-                lhss.remove(a);
-                if lhss.is_empty() {
-                    self.rev.remove(b);
-                }
+                self.fwd.remove(i);
+                let j = find_pair(&self.rev, b, a).expect("rev index in sync with fwd");
+                self.rev.remove(j);
                 true
             }
             other => self.others.remove(other),
@@ -148,13 +163,14 @@ impl Unary {
 
     /// Does `e1 ⊒ e2` hold (syntactically or by reflexivity)?
     pub fn has_lessdef(&self, e1: &Expr, e2: &Expr) -> bool {
-        e1 == e2 || self.fwd.get(e1).is_some_and(|rhss| rhss.contains(e2))
+        e1 == e2 || find_pair(&self.fwd, e1, e2).is_ok()
     }
 
     /// Iterate over all predicates, in the same order the flat
     /// `BTreeSet<Pred>` representation used (lessdefs sorted by
     /// `(lhs, rhs)`, then the rest). Yields owned predicates; the hot
-    /// paths use the keyed accessors or [`Unary::mentions_reg`] instead.
+    /// paths iterate by reference (`lessdefs`, `others`) or use the keyed
+    /// accessors instead.
     pub fn iter(&self) -> impl Iterator<Item = Pred> + '_ {
         self.lessdefs()
             .map(|(a, b)| Pred::Lessdef(a.clone(), b.clone()))
@@ -163,20 +179,35 @@ impl Unary {
 
     /// Iterate over lessdef pairs (sorted by `(lhs, rhs)`).
     pub fn lessdefs(&self) -> impl Iterator<Item = (&Expr, &Expr)> {
-        self.fwd
-            .iter()
-            .flat_map(|(a, rhss)| rhss.iter().map(move |b| (a, b)))
+        self.fwd.iter().map(|(a, b)| (a, b))
+    }
+
+    /// Iterate over the non-lessdef predicates (`Uniq` / `Priv` /
+    /// `Noalias`) by reference, in iteration order.
+    pub(crate) fn others(&self) -> impl Iterator<Item = &Pred> {
+        self.others.iter()
     }
 
     /// Everything `e` such that `lhs ⊒ e` is present (keyed lookup).
     pub fn lessdef_rhs_of(&self, lhs: &Expr) -> Vec<&Expr> {
-        self.fwd.get(lhs).into_iter().flatten().collect()
+        self.lessdef_rhs_iter(lhs).collect()
+    }
+
+    /// [`Unary::lessdef_rhs_of`] by reference, without collecting.
+    pub(crate) fn lessdef_rhs_iter<'a>(
+        &'a self,
+        lhs: &Expr,
+    ) -> impl Iterator<Item = &'a Expr> + 'a {
+        pairs_led_by(&self.fwd, lhs).iter().map(|(_, rhs)| rhs)
     }
 
     /// Everything `e` such that `e ⊒ rhs` is present (keyed lookup on the
     /// reverse index).
     pub fn lessdef_lhs_of(&self, rhs: &Expr) -> Vec<&Expr> {
-        self.rev.get(rhs).into_iter().flatten().collect()
+        pairs_led_by(&self.rev, rhs)
+            .iter()
+            .map(|(_, lhs)| lhs)
+            .collect()
     }
 
     /// Is `Uniq(r)` present?
@@ -202,41 +233,77 @@ impl Unary {
             || self.others.iter().any(|p| p.mentions(r))
     }
 
+    /// Visit every tagged register a predicate mentions (with repeats):
+    /// `r` is visited iff [`Unary::mentions_reg`] holds for it.
+    pub(crate) fn for_each_reg(&self, mut f: impl FnMut(&TReg)) {
+        let visit = |v: &TValue, f: &mut dyn FnMut(&TReg)| {
+            if let TValue::Reg(r) = v {
+                f(r);
+            }
+        };
+        for (a, b) in self.lessdefs() {
+            a.for_each_value(|v| visit(v, &mut f));
+            b.for_each_value(|v| visit(v, &mut f));
+        }
+        for p in &self.others {
+            match p {
+                Pred::Lessdef(a, b) => {
+                    a.for_each_value(|v| visit(v, &mut f));
+                    b.for_each_value(|v| visit(v, &mut f));
+                }
+                Pred::Uniq(u) => f(&TReg::Phy(*u)),
+                Pred::Priv(r) => f(r),
+                Pred::Noalias(a, b) => {
+                    visit(a, &mut f);
+                    visit(b, &mut f);
+                }
+            }
+        }
+    }
+
     /// Remove every predicate mentioning tagged register `r`; returns the
     /// number removed.
     pub fn kill_reg(&mut self, r: &TReg) -> usize {
-        let doomed: Vec<(Expr, Expr)> = self
-            .lessdefs()
-            .filter(|(a, b)| a.mentions(r) || b.mentions(r))
-            .map(|(a, b)| (a.clone(), b.clone()))
-            .collect();
-        let mut removed = doomed.len();
-        for (a, b) in doomed {
-            self.remove(&Pred::Lessdef(a, b));
+        let before = self.len();
+        let alive = |(a, b): &(Expr, Expr)| !a.mentions(r) && !b.mentions(r);
+        let lessdefs = self.fwd.len();
+        self.fwd.retain(alive);
+        if self.fwd.len() != lessdefs {
+            self.rev.retain(alive);
         }
-        let before = self.others.len();
         self.others.retain(|p| !p.mentions(r));
-        removed += before - self.others.len();
-        removed
+        before - self.len()
     }
 
     /// Retain only predicates satisfying `keep` (visited in iteration
     /// order: lessdefs first, then the rest).
     pub fn retain(&mut self, mut keep: impl FnMut(&Pred) -> bool) {
-        let doomed: Vec<Pred> = self
-            .lessdefs()
-            .map(|(a, b)| Pred::Lessdef(a.clone(), b.clone()))
-            .filter(|p| !keep(p))
-            .collect();
-        for p in &doomed {
-            self.remove(p);
-        }
+        self.retain_lessdefs(|_, a, b| keep(&Pred::Lessdef(a.clone(), b.clone())));
         self.others.retain(keep);
+    }
+
+    /// Retain only the lessdefs `a ⊒ b` for which `keep(rest, a, b)`
+    /// holds, visited in iteration order. `rest` is this set with its
+    /// lessdefs detached: just the `Uniq` / `Priv` / `Noalias` predicates,
+    /// which this never removes, so alias queries such as
+    /// [`Unary::provably_disjoint`] and [`Unary::has_priv`] can be asked
+    /// mid-pass without snapshotting the set.
+    pub(crate) fn retain_lessdefs(&mut self, mut keep: impl FnMut(&Unary, &Expr, &Expr) -> bool) {
+        let mut fwd = std::mem::take(&mut self.fwd);
+        let mut rev = std::mem::take(&mut self.rev);
+        let before = fwd.len();
+        let rest: &Unary = self;
+        fwd.retain(|(a, b)| keep(rest, a, b));
+        if fwd.len() != before {
+            rev.retain(|(b, a)| find_pair(&fwd, a, b).is_ok());
+        }
+        self.fwd = fwd;
+        self.rev = rev;
     }
 
     /// Number of predicates.
     pub fn len(&self) -> usize {
-        self.fwd.values().map(BTreeSet::len).sum::<usize>() + self.others.len()
+        self.fwd.len() + self.others.len()
     }
 
     /// Is the set empty?
@@ -294,9 +361,27 @@ impl FromIterator<Pred> for Unary {
 }
 
 impl Extend<Pred> for Unary {
+    /// Appends every lessdef, then sorts and dedups each index once: a
+    /// bulk build costs O(n log n), where an ordered insert per predicate
+    /// would shift the vectors O(n²) times.
     fn extend<I: IntoIterator<Item = Pred>>(&mut self, iter: I) {
+        let before = self.fwd.len();
         for p in iter {
-            self.insert(p);
+            match p {
+                Pred::Lessdef(a, b) => {
+                    self.rev.push((b.clone(), a.clone()));
+                    self.fwd.push((a, b));
+                }
+                other => {
+                    self.others.insert(other);
+                }
+            }
+        }
+        if self.fwd.len() != before {
+            for pairs in [&mut self.fwd, &mut self.rev] {
+                pairs.sort();
+                pairs.dedup();
+            }
         }
     }
 }
@@ -315,10 +400,26 @@ struct PredSeq<'a>(&'a Unary);
 impl Serialize for PredSeq<'_> {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         let mut seq = serializer.serialize_seq(Some(self.0.len()))?;
-        for p in self.0.iter() {
-            seq.serialize_element(&p)?;
+        for (a, b) in self.0.lessdefs() {
+            seq.serialize_element(&LessdefRef(a, b))?;
+        }
+        for p in self.0.others() {
+            seq.serialize_element(p)?;
         }
         seq.end()
+    }
+}
+
+/// `Pred::Lessdef(a, b)` by reference: serializes exactly as the derived
+/// impl does for that variant (index 0, two fields), without cloning.
+struct LessdefRef<'a>(&'a Expr, &'a Expr);
+
+impl Serialize for LessdefRef<'_> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut v = serializer.serialize_tuple_variant("Pred", 0, "Lessdef", 2)?;
+        v.serialize_field(self.0)?;
+        v.serialize_field(self.1)?;
+        v.end()
     }
 }
 
@@ -433,7 +534,7 @@ impl Assertion {
 
     /// Is every register of the expression outside the maydiff set?
     pub fn expr_injected(&self, e: &Expr) -> bool {
-        e.regs().iter().all(|r| !self.maydiff.contains(r))
+        !e.any_reg(|r| self.maydiff.contains(r))
     }
 
     /// The `x_src ∼ y_tgt` check of Algorithm 4: are a source value and a
@@ -474,19 +575,11 @@ impl Assertion {
 
     fn exprs_equivalent_flat(&self, e: &Expr, e2: &Expr) -> bool {
         // S = {e} ∪ {z : (e ⊒ z) ∈ src};  T = {e2} ∪ {z : (z ⊒ e2) ∈ tgt}.
-        // Equivalent if S and T share an element that is injected.
-        let mut s: Vec<&Expr> = vec![e];
-        s.extend(self.src.lessdef_rhs_of(e));
-        let mut t: Vec<&Expr> = vec![e2];
-        t.extend(self.tgt.lessdef_lhs_of(e2));
-        for a in &s {
-            for b in &t {
-                if a == b && self.expr_injected(a) {
-                    return true;
-                }
-            }
-        }
-        false
+        // Equivalent if S and T share an element that is injected; `z ∈ T`
+        // is exactly `tgt.has_lessdef(z, e2)`.
+        std::iter::once(e)
+            .chain(self.src.lessdef_rhs_iter(e))
+            .any(|z| self.tgt.has_lessdef(z, e2) && self.expr_injected(z))
     }
 
     /// Inclusion check `CheckIncl(Q, Q')` (paper Fig 4, rule Incl):
@@ -534,6 +627,7 @@ impl fmt::Display for Assertion {
 mod tests {
     use super::*;
     use crellvm_ir::{BinOp, Type};
+    use proptest::prelude::*;
 
     fn r(i: usize) -> RegId {
         RegId::from_index(i)
@@ -760,6 +854,189 @@ mod tests {
         assert!(u.remove(&Pred::Lessdef(b, g.clone())));
         assert!(u.lessdef_lhs_of(&g).is_empty());
         assert!(u.is_empty());
+    }
+
+    /// The flat reference model: the `BTreeSet<Pred>` representation
+    /// `Unary` replaced, with the derived wire shape it had.
+    mod flat {
+        use super::Pred;
+        use serde::Serialize;
+        use std::collections::BTreeSet;
+
+        #[derive(Serialize)]
+        pub struct Unary {
+            pub preds: BTreeSet<Pred>,
+        }
+    }
+
+    /// A small pool of expressions, so random predicates collide often.
+    fn expr_pool() -> Vec<Expr> {
+        vec![
+            Expr::value(TValue::phy(r(0))),
+            Expr::value(TValue::phy(r(1))),
+            Expr::value(TValue::phy(r(2))),
+            Expr::value(TValue::ghost("g")),
+            Expr::value(TValue::old(r(1))),
+            Expr::value(TValue::int(Type::I32, 1)),
+            Expr::bin(BinOp::Add, Type::I32, TValue::phy(r(0)), TValue::phy(r(1))),
+            Expr::load(Type::I32, TValue::phy(r(2))),
+            Expr::undef(Type::I32),
+        ]
+    }
+
+    fn reg_pool() -> Vec<TReg> {
+        vec![
+            TReg::Phy(r(0)),
+            TReg::Phy(r(1)),
+            TReg::Phy(r(2)),
+            TReg::ghost("g"),
+            TReg::Old(r(1)),
+        ]
+    }
+
+    /// Any predicate kind, chosen by `kind`, over pool indices `i`, `j`.
+    fn pred_of(kind: usize, i: usize, j: usize) -> Pred {
+        let (exprs, regs) = (expr_pool(), reg_pool());
+        let value = |k: usize| match &exprs[k] {
+            Expr::Value(v) => v.clone(),
+            _ => TValue::Const(crellvm_ir::Const::Null),
+        };
+        match kind % 4 {
+            0 => Pred::Lessdef(exprs[i].clone(), exprs[j].clone()),
+            1 => Pred::Uniq(r(i % 3)),
+            2 => Pred::Priv(regs[i % regs.len()].clone()),
+            _ => Pred::Noalias(value(i), value(j)),
+        }
+    }
+
+    /// A deterministic pseudo-random keep/drop decision per predicate.
+    fn keeps(p: &Pred, seed: usize) -> bool {
+        let mut h = seed as u64 ^ 0xcbf2_9ce4_8422_2325;
+        for b in p.to_string().bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        !h.is_multiple_of(3)
+    }
+
+    /// Every observable of `u` agrees with the flat model `m`.
+    fn agrees(u: &Unary, m: &BTreeSet<Pred>) -> Result<(), TestCaseError> {
+        let flat: Vec<Pred> = m.iter().cloned().collect();
+        prop_assert_eq!(u.iter().collect::<Vec<_>>(), flat.clone());
+        prop_assert_eq!(u.len(), m.len());
+        prop_assert_eq!(u.is_empty(), m.is_empty());
+        let pool = expr_pool();
+        for x in &pool {
+            for y in &pool {
+                let held = x == y || m.contains(&Pred::Lessdef(x.clone(), y.clone()));
+                prop_assert_eq!(u.has_lessdef(x, y), held);
+            }
+            let rhs: Vec<&Expr> = flat
+                .iter()
+                .filter_map(|p| match p {
+                    Pred::Lessdef(a, b) if a == x => Some(b),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(u.lessdef_rhs_of(x), rhs.clone());
+            prop_assert_eq!(u.lessdef_rhs_iter(x).collect::<Vec<_>>(), rhs);
+            let mut lhs: Vec<&Expr> = flat
+                .iter()
+                .filter_map(|p| match p {
+                    Pred::Lessdef(a, b) if b == x => Some(a),
+                    _ => None,
+                })
+                .collect();
+            lhs.sort();
+            prop_assert_eq!(u.lessdef_lhs_of(x), lhs);
+        }
+        let model = flat::Unary { preds: m.clone() };
+        let json = serde_json::to_string(u).unwrap();
+        prop_assert_eq!(&json, &serde_json::to_string(&model).unwrap());
+        let v2 = crate::serialize_bin::to_bytes_v2(u).unwrap();
+        prop_assert_eq!(&v2, &crate::serialize_bin::to_bytes_v2(&model).unwrap());
+        prop_assert_eq!(&serde_json::from_str::<Unary>(&json).unwrap(), u);
+        prop_assert_eq!(
+            &crate::serialize_bin::from_bytes_v2::<Unary>(&v2).unwrap(),
+            u
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Trusted-base reference check: random sequences of every
+        /// mutating operation, applied to two `Unary` values and to two
+        /// flat `BTreeSet<Pred>` models, must agree after every step on
+        /// iteration order, length, the keyed lessdef lookups, inclusion,
+        /// the first missing predicate, equality, and the JSON and v2
+        /// bytes.
+        #[test]
+        fn unary_agrees_with_flat_model(
+            ops in proptest::collection::vec((0usize..8, 0usize..9, 0usize..9, 0usize..2, 0usize..64), 1..40)
+        ) {
+            let mut units = [Unary::new(), Unary::new()];
+            let mut models = [BTreeSet::new(), BTreeSet::new()];
+            for (op, i, j, which, seed) in ops {
+                let (u, m) = (&mut units[which], &mut models[which]);
+                match op {
+                    0 | 1 => {
+                        let pool = expr_pool();
+                        u.insert_lessdef(pool[i].clone(), pool[j].clone());
+                        m.insert(Pred::Lessdef(pool[i].clone(), pool[j].clone()));
+                    }
+                    2 => {
+                        let p = pred_of(seed, i, j);
+                        u.insert(p.clone());
+                        m.insert(p);
+                    }
+                    3 => {
+                        let p = pred_of(seed, i, j);
+                        prop_assert_eq!(u.remove(&p), m.remove(&p));
+                    }
+                    4 => {
+                        let reg = &reg_pool()[i % 5];
+                        let before = m.len();
+                        m.retain(|p| !p.mentions(reg));
+                        prop_assert_eq!(u.kill_reg(reg), before - m.len());
+                    }
+                    5 => {
+                        let mut visited = Vec::new();
+                        u.retain(|p| {
+                            visited.push(p.clone());
+                            keeps(p, seed)
+                        });
+                        prop_assert_eq!(&visited, &m.iter().cloned().collect::<Vec<_>>());
+                        m.retain(|p| keeps(p, seed));
+                    }
+                    6 => {
+                        let others = m.len() - m.iter().filter(|p| matches!(p, Pred::Lessdef(..))).count();
+                        u.retain_lessdefs(|rest, a, b| {
+                            assert_eq!(rest.len(), others, "rest holds the others only");
+                            keeps(&Pred::Lessdef(a.clone(), b.clone()), seed)
+                        });
+                        m.retain(|p| !matches!(p, Pred::Lessdef(..)) || keeps(p, seed));
+                    }
+                    _ => {
+                        let preds: Vec<Pred> = (0..=seed % 6).map(|k| pred_of(seed + k, (i + k) % 9, (j + 2 * k) % 9)).collect();
+                        u.extend(preds.iter().cloned());
+                        m.extend(preds);
+                    }
+                }
+                for (u, m) in units.iter().zip(&models) {
+                    agrees(u, m)?;
+                }
+                let [a, b] = &units;
+                let [ma, mb] = &models;
+                let missing = mb
+                    .iter()
+                    .find(|p| !matches!(p, Pred::Lessdef(x, y) if x == y) && !ma.contains(*p))
+                    .cloned();
+                prop_assert_eq!(a.includes(b), missing.is_none());
+                prop_assert_eq!(a.first_missing(b), missing);
+                prop_assert_eq!(a == b, ma == mb);
+            }
+        }
     }
 
     #[test]

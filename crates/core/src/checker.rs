@@ -23,14 +23,14 @@
 use crate::assertion::{Assertion, Pred};
 use crate::auto::run_auto;
 use crate::equivbeh::check_equiv_beh;
-use crate::expr::TValue;
-use crate::infrule::{apply_inf_owned, CheckerConfig};
+use crate::expr::{TReg, TValue};
+use crate::infrule::{apply_inf_owned, CheckerConfig, InfRule};
 use crate::postcond::{calc_post_cmd, calc_post_phi};
 use crate::proof::{ProofUnit, RulePos, SlotId};
 use crellvm_ir::{RegId, Term, Value};
 use crellvm_telemetry::{Event, Telemetry};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 
 /// A successful validation outcome.
@@ -80,29 +80,86 @@ impl fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+/// Where a proof command sits in its unit. Rendered to text (see
+/// [`Ctx::describe`]) only for a [`ValidationError`] or an open span, so
+/// the success path formats nothing.
+#[derive(Clone, Copy)]
+enum At {
+    Row { block: usize, row: usize },
+    Term(usize),
+    Edge { from: usize, to: usize },
+}
+
+/// One unit's work counts, flushed to telemetry once when the unit is done
+/// (see [`Ctx::flush`]).
+#[derive(Default)]
+struct Work {
+    /// Rows checked (`checker.rows`).
+    rows: u64,
+    /// Predicates of each checked row's assertion
+    /// (`checker.assertion_preds` observations).
+    preds: Vec<u64>,
+    /// Applications per inference rule (`checker.rule.<name>`), in
+    /// first-application order.
+    rules: Vec<(&'static str, u64)>,
+}
+
 struct Ctx<'a> {
     unit: &'a ProofUnit,
     config: &'a CheckerConfig,
     tel: &'a Telemetry,
-    /// Ring of the last [`RULE_HISTORY_CAP`] applied inference rules,
-    /// attached to any [`ValidationError`] this unit produces.
-    history: RefCell<Vec<String>>,
+    /// Ring of the last [`RULE_HISTORY_CAP`] applied inference rules and
+    /// where each was applied, rendered into any [`ValidationError`] this
+    /// unit produces.
+    history: RefCell<VecDeque<(&'static str, At)>>,
+    work: RefCell<Work>,
 }
 
 impl Ctx<'_> {
     fn err(&self, at: impl Into<String>, reason: impl Into<String>) -> ValidationError {
+        let rule_history = self
+            .history
+            .borrow()
+            .iter()
+            .map(|&(rule, at)| format!("{rule} @ {}", self.describe(at)))
+            .collect();
         ValidationError {
             func: self.unit.src.name.clone(),
             pass: self.unit.pass.clone(),
             at: at.into(),
             reason: reason.into(),
-            rule_history: self.history.borrow().clone(),
+            rule_history,
             failing_assertion: None,
         }
     }
 
     fn block_name(&self, b: usize) -> &str {
         &self.unit.src.blocks[b].name
+    }
+
+    /// The position text of error reports and span names.
+    fn describe(&self, at: At) -> String {
+        match at {
+            At::Row { block, row } => format!("block {}, row {row}", self.block_name(block)),
+            At::Term(b) => format!("terminator of block {}", self.block_name(b)),
+            At::Edge { from, to } => {
+                format!("edge {} -> {}", self.block_name(from), self.block_name(to))
+            }
+        }
+    }
+
+    /// Record this unit's work counts: one registry update per metric, and
+    /// none for a count that stayed at zero (a unit rejected at `CheckCFG`
+    /// registers no `checker.rows`).
+    fn flush(&self) {
+        let work = self.work.take();
+        if work.rows > 0 {
+            self.tel.count("checker.rows", work.rows);
+        }
+        self.tel.observe_all("checker.assertion_preds", &work.preds);
+        for (rule, n) in work.rules {
+            self.tel.count(&format!("checker.rule.{rule}"), n);
+        }
     }
 
     fn check_cfg(&self) -> Result<(), ValidationError> {
@@ -212,16 +269,29 @@ impl Ctx<'_> {
     /// re-chosen equal on both sides (sound because logical registers do
     /// not exist in physical states).
     fn cleanup_logical_maydiff(q: &mut Assertion, goal: &Assertion) {
-        let stale: Vec<_> = q
+        // Candidates, sorted as the maydiff set is; one pass over the goal
+        // marks those it mentions.
+        let candidates: Vec<&TReg> = q
             .maydiff
             .iter()
-            .filter(|m| {
-                !m.is_phy()
-                    && !goal.maydiff.contains(*m)
-                    && !goal.src.mentions_reg(m)
-                    && !goal.tgt.mentions_reg(m)
-            })
-            .cloned()
+            .filter(|m| !m.is_phy() && !goal.maydiff.contains(*m))
+            .collect();
+        if candidates.is_empty() {
+            return;
+        }
+        let mut mentioned = vec![false; candidates.len()];
+        let mut mark = |r: &TReg| {
+            if let Ok(i) = candidates.binary_search(&r) {
+                mentioned[i] = true;
+            }
+        };
+        goal.src.for_each_reg(&mut mark);
+        goal.tgt.for_each_reg(&mut mark);
+        let stale: Vec<TReg> = candidates
+            .into_iter()
+            .zip(mentioned)
+            .filter(|&(_, mentioned)| !mentioned)
+            .map(|(m, _)| m.clone())
             .collect();
         for m in stale {
             q.maydiff.remove(&m);
@@ -233,8 +303,8 @@ impl Ctx<'_> {
         &self,
         mut q: Assertion,
         goal: &Assertion,
-        rules: &[crate::infrule::InfRule],
-        at: &str,
+        rules: &[InfRule],
+        at: At,
     ) -> Result<(), ValidationError> {
         for rule in rules {
             let _g = self.rule_span(rule);
@@ -243,7 +313,7 @@ impl Ctx<'_> {
                 Ok(next) => next,
                 Err((orig, e)) => {
                     self.tel.count("checker.rule_failures", 1);
-                    let mut err = self.err(at, e.to_string());
+                    let mut err = self.err(self.describe(at), e.to_string());
                     err.failing_assertion = Some(format!("have: {orig}\nwant: {goal}"));
                     return Err(err);
                 }
@@ -274,7 +344,7 @@ impl Ctx<'_> {
         let why = q
             .why_not_implies(goal)
             .unwrap_or_else(|| "inclusion check failed".into());
-        let mut err = self.err(at, why);
+        let mut err = self.err(self.describe(at), why);
         err.failing_assertion = Some(format!("have: {q}\nwant: {goal}"));
         Err(err)
     }
@@ -285,7 +355,7 @@ impl Ctx<'_> {
     /// of the proof, so the span *structure* is identical at any thread
     /// count — only the recorded durations vary, exactly like every other
     /// span.
-    fn rule_span(&self, rule: &crate::infrule::InfRule) -> Option<crellvm_telemetry::CausalSpan> {
+    fn rule_span(&self, rule: &InfRule) -> Option<crellvm_telemetry::CausalSpan> {
         self.tel
             .spanning()
             .then(|| self.tel.causal(rule.name(), "rule"))
@@ -294,18 +364,23 @@ impl Ctx<'_> {
     /// Record one inference-rule application (explicit or automation-
     /// generated) under `checker.rule.<name>` — the paper's Fig 7 axis —
     /// and in the forensic rule-history ring.
-    fn count_rule(&self, rule: &crate::infrule::InfRule, at: &str) {
-        self.tel.count(&format!("checker.rule.{}", rule.name()), 1);
+    fn count_rule(&self, rule: &InfRule, at: At) {
+        let name = rule.name();
+        let rules = &mut self.work.borrow_mut().rules;
+        match rules.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, count)) => *count += 1,
+            None => rules.push((name, 1)),
+        }
         let mut history = self.history.borrow_mut();
         if history.len() == RULE_HISTORY_CAP {
-            history.remove(0);
+            history.pop_front();
         }
-        history.push(format!("{} @ {at}", rule.name()));
+        history.push_back((name, at));
     }
 
     /// Equivalence of terminators under the block's final assertion.
     fn check_term(&self, b: usize, a: &Assertion) -> Result<(), ValidationError> {
-        let at = format!("terminator of block {}", self.block_name(b));
+        let at = || self.describe(At::Term(b));
         let (st, tt) = (&self.unit.src.blocks[b].term, &self.unit.tgt.blocks[b].term);
         let equiv =
             |x: &Value, y: &Value| a.values_equivalent(&TValue::of_value(x), &TValue::of_value(y));
@@ -314,22 +389,23 @@ impl Ctx<'_> {
             (Term::Ret(None), Term::Ret(None)) => Ok(()),
             (Term::Ret(Some((ty1, v1))), Term::Ret(Some((ty2, v2)))) => {
                 if ty1 != ty2 {
-                    return Err(self.err(at, "return types differ"));
+                    return Err(self.err(at(), "return types differ"));
                 }
                 if !equiv(v1, v2) {
-                    return Err(
-                        self.err(at, format!("returned values may differ: {v1:?} vs {v2:?}"))
-                    );
+                    return Err(self.err(
+                        at(),
+                        format!("returned values may differ: {v1:?} vs {v2:?}"),
+                    ));
                 }
                 Ok(())
             }
             (Term::Br(x), Term::Br(y)) if x == y => Ok(()),
             (Term::CondBr { cond: c1, .. }, Term::CondBr { cond: c2, .. }) => {
                 if traps(c2) && c1 != c2 && !self.config.trust_trapping_constexprs {
-                    return Err(self.err(at, "target branches on a trapping constant expression"));
+                    return Err(self.err(at(), "target branches on a trapping constant expression"));
                 }
                 if !equiv(c1, c2) {
-                    return Err(self.err(at, "branch conditions may differ"));
+                    return Err(self.err(at(), "branch conditions may differ"));
                 }
                 Ok(())
             }
@@ -348,60 +424,65 @@ impl Ctx<'_> {
                 },
             ) => {
                 if t1 != t2 || c1 != c2 {
-                    return Err(self.err(at, "switch shapes differ"));
+                    return Err(self.err(at(), "switch shapes differ"));
                 }
                 if traps(v2) && v1 != v2 && !self.config.trust_trapping_constexprs {
-                    return Err(self.err(at, "target switches on a trapping constant expression"));
+                    return Err(self.err(at(), "target switches on a trapping constant expression"));
                 }
                 if !equiv(v1, v2) {
-                    return Err(self.err(at, "switch scrutinees may differ"));
+                    return Err(self.err(at(), "switch scrutinees may differ"));
                 }
                 Ok(())
             }
             (Term::Unreachable, Term::Unreachable) => Ok(()),
-            _ => Err(self.err(at, "terminator kinds differ")),
+            _ => Err(self.err(at(), "terminator kinds differ")),
         }
     }
 
     /// Open a causal proof-command span when a collector is attached (the
     /// `spanning` gate keeps the name formatting off the common path).
-    fn proof_span(&self, name: &str) -> Option<crellvm_telemetry::CausalSpan> {
-        self.tel.spanning().then(|| self.tel.causal(name, "proof"))
+    fn proof_span(&self, name: impl FnOnce() -> String) -> Option<crellvm_telemetry::CausalSpan> {
+        self.tel
+            .spanning()
+            .then(|| self.tel.causal(&name(), "proof"))
     }
 
     fn run(&self) -> Result<(), ValidationError> {
         {
-            let _g = self.proof_span("CheckCFG");
+            let _g = self.proof_span(|| "CheckCFG".into());
             self.check_cfg()?;
         }
         {
-            let _g = self.proof_span("CheckInit");
+            let _g = self.proof_span(|| "CheckInit".into());
             self.check_init()?;
         }
         for b in 0..self.unit.src.blocks.len() {
             let nrows = self.unit.row_count(b);
             for row in 0..nrows {
-                let a = self.unit.assertion(SlotId::new(b, row)).clone();
-                self.tel.count("checker.rows", 1);
-                let preds = a.src.len() + a.tgt.len() + a.maydiff.len();
-                self.tel.observe("checker.assertion_preds", preds as u64);
+                let a = self.unit.assertion(SlotId::new(b, row));
+                {
+                    let mut work = self.work.borrow_mut();
+                    work.rows += 1;
+                    work.preds
+                        .push((a.src.len() + a.tgt.len() + a.maydiff.len()) as u64);
+                }
                 let (ms, mt) = self.unit.row(b, row);
-                let at = format!("block {}, row {row}", self.block_name(b));
-                let _g = self.proof_span(&at);
-                check_equiv_beh(&a, ms.stmt(), mt.stmt(), self.config)
-                    .map_err(|e| self.err(&at, e.to_string()))?;
-                let post = calc_post_cmd(&a, ms.stmt(), mt.stmt());
+                let at = At::Row { block: b, row };
+                let _g = self.proof_span(|| self.describe(at));
+                check_equiv_beh(a, ms.stmt(), mt.stmt(), self.config)
+                    .map_err(|e| self.err(self.describe(at), e.to_string()))?;
+                let post = calc_post_cmd(a, ms.stmt(), mt.stmt());
                 let goal = self.unit.assertion(SlotId::new(b, row + 1));
                 let rules = self.unit.rules_at(RulePos::AfterRow {
                     block: b as u32,
                     row: row as u32,
                 });
-                self.discharge(post, goal, rules, &at)?;
+                self.discharge(post, goal, rules, at)?;
             }
-            let end = self.unit.assertion(SlotId::new(b, nrows)).clone();
+            let end = self.unit.assertion(SlotId::new(b, nrows));
             {
-                let _g = self.proof_span(&format!("terminator of block {}", self.block_name(b)));
-                self.check_term(b, &end)?;
+                let _g = self.proof_span(|| self.describe(At::Term(b)));
+                self.check_term(b, end)?;
             }
 
             let mut seen = BTreeSet::new();
@@ -410,10 +491,10 @@ impl Ctx<'_> {
                     continue;
                 }
                 let sb = succ.index();
-                let at = format!("edge {} -> {}", self.block_name(b), self.block_name(sb));
-                let _g = self.proof_span(&at);
+                let at = At::Edge { from: b, to: sb };
+                let _g = self.proof_span(|| self.describe(at));
                 let mut post = calc_post_phi(
-                    &end,
+                    end,
                     &self.unit.src.blocks[sb].phis,
                     &self.unit.tgt.blocks[sb].phis,
                     crellvm_ir::BlockId::from_index(b),
@@ -434,7 +515,7 @@ impl Ctx<'_> {
                     from: b as u32,
                     to: sb as u32,
                 });
-                self.discharge(post, goal, rules, &at)?;
+                self.discharge(post, goal, rules, at)?;
             }
         }
         Ok(())
@@ -468,6 +549,7 @@ pub fn validate_with_telemetry(
     tel: &Telemetry,
 ) -> Result<Verdict, ValidationError> {
     tel.count("checker.validations", 1);
+    // Trace events are built only when a sink is attached.
     let step = |verdict: &str| {
         Event::new("validation.step")
             .str("pass", unit.pass.clone())
@@ -476,38 +558,49 @@ pub fn validate_with_telemetry(
     };
     if let Some(reason) = &unit.not_supported {
         tel.count("checker.not_supported", 1);
-        tel.emit(step("not_supported").str("reason", reason.clone()));
+        if tel.tracing() {
+            tel.emit(step("not_supported").str("reason", reason.clone()));
+        }
         return Ok(Verdict::NotSupported(reason.clone()));
     }
     if config.accept_unchecked {
         // The test-only maximally weakened checker: accept blindly so the
         // oracle matrix suite can show the refinement oracle stands alone.
         tel.count("checker.valid", 1);
-        tel.emit(step("valid"));
+        if tel.tracing() {
+            tel.emit(step("valid"));
+        }
         return Ok(Verdict::Valid);
     }
     let ctx = Ctx {
         unit,
         config,
         tel,
-        history: RefCell::new(Vec::new()),
+        history: RefCell::new(VecDeque::new()),
+        work: RefCell::new(Work::default()),
     };
-    match ctx.run() {
+    let outcome = ctx.run();
+    ctx.flush();
+    match outcome {
         Ok(()) => {
             tel.count("checker.valid", 1);
-            tel.emit(step("valid"));
+            if tel.tracing() {
+                tel.emit(step("valid"));
+            }
             Ok(Verdict::Valid)
         }
         Err(e) => {
             tel.count("checker.failures", 1);
-            tel.emit(step("failed").str("at", e.at.clone()));
-            tel.emit(
-                Event::new("validation.failure")
-                    .str("pass", e.pass.clone())
-                    .str("func", e.func.clone())
-                    .str("at", e.at.clone())
-                    .str("reason", e.reason.clone()),
-            );
+            if tel.tracing() {
+                tel.emit(step("failed").str("at", e.at.clone()));
+                tel.emit(
+                    Event::new("validation.failure")
+                        .str("pass", e.pass.clone())
+                        .str("func", e.func.clone())
+                        .str("at", e.at.clone())
+                        .str("reason", e.reason.clone()),
+                );
+            }
             Err(e)
         }
     }

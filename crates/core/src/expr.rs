@@ -361,15 +361,20 @@ impl Expr {
         out
     }
 
-    /// Does the expression mention the tagged register `r`?
-    pub fn mentions(&self, r: &TReg) -> bool {
+    /// Does `f` hold for some tagged register of the expression?
+    pub(crate) fn any_reg(&self, mut f: impl FnMut(&TReg) -> bool) -> bool {
         let mut found = false;
         self.for_each_value(|v| {
-            if v.as_reg() == Some(r) {
-                found = true;
+            if let TValue::Reg(r) = v {
+                found = found || f(r);
             }
         });
         found
+    }
+
+    /// Does the expression mention the tagged register `r`?
+    pub fn mentions(&self, r: &TReg) -> bool {
+        self.any_reg(|q| q == r)
     }
 
     /// Is this a load expression?

@@ -28,50 +28,42 @@ fn prune_unary(u: &mut Unary, inst: &Inst, result: Option<RegId>) {
     if let Some(r) = result {
         u.kill_reg(&TReg::Phy(r));
     }
-    // (b) Stores clobber loads that may alias.
+    // (b) Stores clobber loads that may alias. The alias queries read only
+    // the non-lessdef predicates, which this pruning never removes.
     if let Inst::Store { ptr, .. } = inst {
         let p = TValue::of_value(ptr);
-        let u_snapshot = u.clone();
-        u.retain(|pred| match pred {
-            Pred::Lessdef(a, b) => {
-                let survives = |e: &Expr| match e.load_ptr() {
-                    Some(q) => u_snapshot.provably_disjoint(&p, q),
-                    None => true,
-                };
-                survives(a) && survives(b)
-            }
-            _ => true,
+        u.retain_lessdefs(|rest, a, b| {
+            let survives = |e: &Expr| match e.load_ptr() {
+                Some(q) => rest.provably_disjoint(&p, q),
+                None => true,
+            };
+            survives(a) && survives(b)
         });
     }
     // (c) Calls (and opaque unsupported ops) clobber all public memory:
     // only loads from private locations survive.
     if matches!(inst, Inst::Call { .. } | Inst::Unsupported { .. }) {
-        let u_snapshot = u.clone();
-        u.retain(|pred| match pred {
-            Pred::Lessdef(a, b) => {
-                let survives = |e: &Expr| match e.load_ptr() {
-                    Some(TValue::Reg(q)) => u_snapshot.has_priv(q),
-                    Some(_) => false,
-                    None => true,
-                };
-                survives(a) && survives(b)
-            }
-            _ => true,
+        u.retain_lessdefs(|rest, a, b| {
+            let survives = |e: &Expr| match e.load_ptr() {
+                Some(TValue::Reg(q)) => rest.has_priv(q),
+                Some(_) => false,
+                None => true,
+            };
+            survives(a) && survives(b)
         });
     }
     // (d) Leaks: a register used as a *value* operand (copied, stored,
     // passed, offset) may now be aliased elsewhere, killing its Uniq.
-    for leaked in leaked_regs(inst) {
+    for_each_leaked(inst, |leaked| {
         u.remove(&Pred::Uniq(leaked));
-    }
+    });
 }
 
-/// Registers whose *addresses* escape by executing `inst`.
-fn leaked_regs(inst: &Inst) -> Vec<RegId> {
-    let mut out = Vec::new();
+/// Visit the registers whose *addresses* escape by executing `inst`.
+fn for_each_leaked(inst: &Inst, mut f: impl FnMut(RegId)) {
     let mut push = |v: &Value| {
         if let Value::Reg(r) = v {
-            out.push(*r);
+            f(*r);
         }
     };
     match inst {
@@ -101,7 +93,6 @@ fn leaked_regs(inst: &Inst) -> Vec<RegId> {
         }
         Inst::Alloca { .. } | Inst::Unsupported { .. } => {}
     }
-    out
 }
 
 /// Record the lessdef facts produced by executing `inst` on one side.
@@ -137,28 +128,36 @@ fn add_lessdefs(u: &mut Unary, inst: &Inst, result: Option<RegId>) {
 }
 
 /// The built-in maydiff reduction: drop `r` whenever both sides pin it to
-/// a common expression whose registers are injected.
+/// a common expression whose registers are injected (`r ⊒ e` in the
+/// source, `e ⊒ r` in the target, `e` not mentioning `r`).
+///
+/// Each round removes every register removable at once, found in one pass
+/// over the source's `r ⊒ e` entries, until a round removes none. That is
+/// the same fixpoint as removing one register at a time: removing a
+/// register only makes more registers removable, so every maximal
+/// sequence of removals removes the same set.
 fn reduce_maydiff(a: &mut Assertion) {
     loop {
-        let mut removed = None;
-        'outer: for r in a.maydiff.iter() {
-            let rv = Expr::Value(TValue::Reg(r.clone()));
-            for (lhs, e) in a.src.lessdefs() {
-                if *lhs != rv || e.mentions(r) {
-                    continue;
+        let removable: Vec<TReg> = a
+            .src
+            .lessdefs()
+            .filter_map(|(lhs, e)| match lhs {
+                Expr::Value(TValue::Reg(r))
+                    if a.maydiff.contains(r)
+                        && !e.mentions(r)
+                        && a.expr_injected(e)
+                        && a.tgt.has_lessdef(e, lhs) =>
+                {
+                    Some(r.clone())
                 }
-                let injected = e.regs().iter().all(|q| q == r || !a.maydiff.contains(q));
-                if injected && a.tgt.has_lessdef(e, &rv) {
-                    removed = Some(r.clone());
-                    break 'outer;
-                }
-            }
+                _ => None,
+            })
+            .collect();
+        if removable.is_empty() {
+            break;
         }
-        match removed {
-            Some(r) => {
-                a.maydiff.remove(&r);
-            }
-            None => break,
+        for r in &removable {
+            a.maydiff.remove(r);
         }
     }
 }
@@ -257,37 +256,39 @@ pub fn calc_post_phi(
     let mut q = Assertion::new();
 
     // Step 1: drop old-register facts; copy current facts to old twins.
+    let is_old = |r: &TReg| matches!(r, TReg::Old(_));
     let is_oldfree = |pred: &Pred| match pred {
-        Pred::Lessdef(a, b) => {
-            !a.regs().iter().any(|r| matches!(r, TReg::Old(_)))
-                && !b.regs().iter().any(|r| matches!(r, TReg::Old(_)))
-        }
-        Pred::Priv(r) => !matches!(r, TReg::Old(_)),
-        Pred::Noalias(a, b) => {
-            !matches!(a.as_reg(), Some(TReg::Old(_))) && !matches!(b.as_reg(), Some(TReg::Old(_)))
-        }
+        Pred::Lessdef(a, b) => !a.any_reg(is_old) && !b.any_reg(is_old),
+        Pred::Priv(r) => !is_old(r),
+        Pred::Noalias(a, b) => !a.as_reg().is_some_and(is_old) && !b.as_reg().is_some_and(is_old),
         Pred::Uniq(_) => true,
     };
     for (side_in, side_out) in [(&p.src, &mut q.src), (&p.tgt, &mut q.tgt)] {
-        for pred in side_in.iter().filter(|p| is_oldfree(p)) {
-            side_out.insert(pred.clone());
-            if let Pred::Lessdef(a, b) = pred {
-                side_out.insert(Pred::Lessdef(a.phy_to_old(), b.phy_to_old()));
-            }
-        }
+        let lessdefs = side_in
+            .lessdefs()
+            .filter(|&(a, b)| !a.any_reg(is_old) && !b.any_reg(is_old))
+            .flat_map(|(a, b)| {
+                [
+                    Pred::Lessdef(a.clone(), b.clone()),
+                    Pred::Lessdef(a.phy_to_old(), b.phy_to_old()),
+                ]
+            });
+        let others = side_in.others().filter(|p| is_oldfree(p)).cloned();
+        side_out.extend(lessdefs.chain(others));
     }
-    for r in &p.maydiff {
-        match r {
-            TReg::Old(_) => {}
-            TReg::Phy(pr) => {
-                q.maydiff.insert(r.clone());
-                q.maydiff.insert(TReg::Old(*pr));
-            }
-            TReg::Ghost(_) => {
-                q.maydiff.insert(r.clone());
-            }
-        }
-    }
+    // Physical registers keep their status and lend it to their old
+    // twins; stale old registers drop out.
+    let old_twins = p.maydiff.iter().filter_map(|r| match r {
+        TReg::Phy(pr) => Some(TReg::Old(*pr)),
+        _ => None,
+    });
+    q.maydiff = p
+        .maydiff
+        .iter()
+        .filter(|r| !is_old(r))
+        .cloned()
+        .chain(old_twins)
+        .collect();
 
     // Step 2: the parallel phi assignments, with RHS values old-tagged.
     let assigns = |phis: &[(RegId, Phi)]| -> Vec<(RegId, Option<(Type, TValue)>)> {
@@ -346,49 +347,45 @@ pub fn calc_post_phi(
         }
     }
 
-    // Record the assignment equalities.
-    for (assigns, side) in [(&src_assigns, &mut q.src), (&tgt_assigns, &mut q.tgt)] {
+    // Record the assignment equalities, then the old-register bridges: a
+    // register NOT redefined by this side's phis still holds its pre-phi
+    // value, so `r ⊒ r̄` and `r̄ ⊒ r` are sound (the old ghost file is
+    // pinned to the pre-phi values by the copy step above). Emit bridges
+    // for every register the assertion talks about, the equalities
+    // included.
+    for (side, assigns) in [(&mut q.src, &src_assigns), (&mut q.tgt, &tgt_assigns)] {
+        let defined = |r: RegId| assigns.iter().any(|(d, _)| *d == r);
+        let mut mentioned: Vec<RegId> = Vec::new();
+        let mut note = |v: &TValue| {
+            if let TValue::Reg(TReg::Phy(r) | TReg::Old(r)) = v {
+                if !defined(*r) {
+                    mentioned.push(*r);
+                }
+            }
+        };
+        for (a, b) in side.lessdefs() {
+            a.for_each_value(&mut note);
+            b.for_each_value(&mut note);
+        }
+        let mut new = Vec::new();
         for (r, v) in assigns.iter() {
             if let Some((_, v)) = v {
+                note(v);
                 let x = Expr::Value(TValue::phy(*r));
                 let e = Expr::Value(v.clone());
-                side.insert_lessdef(x.clone(), e.clone());
-                side.insert_lessdef(e, x);
-            }
-        }
-    }
-
-    // Old-register bridges: a register NOT redefined by this side's phis
-    // still holds its pre-phi value, so `r ⊒ r̄` and `r̄ ⊒ r` are sound
-    // (the old ghost file is pinned to the pre-phi values by the copy
-    // step above). Emit bridges for every register the assertion talks
-    // about.
-    for (side, assigns, other_assigns) in [
-        (&mut q.src, &src_assigns, &tgt_assigns),
-        (&mut q.tgt, &tgt_assigns, &src_assigns),
-    ] {
-        let defined: Vec<RegId> = assigns.iter().map(|(r, _)| *r).collect();
-        let _ = other_assigns;
-        let mut mentioned: Vec<RegId> = Vec::new();
-        for pred in side.iter() {
-            if let Pred::Lessdef(a, b) = pred {
-                for r in a.regs().into_iter().chain(b.regs()) {
-                    if let TReg::Phy(p) | TReg::Old(p) = r {
-                        mentioned.push(p);
-                    }
-                }
+                new.push(Pred::Lessdef(x.clone(), e.clone()));
+                new.push(Pred::Lessdef(e, x));
             }
         }
         mentioned.sort_unstable();
         mentioned.dedup();
         for r in mentioned {
-            if !defined.contains(&r) {
-                let cur = Expr::Value(TValue::phy(r));
-                let old = Expr::Value(TValue::old(r));
-                side.insert_lessdef(cur.clone(), old.clone());
-                side.insert_lessdef(old, cur);
-            }
+            let cur = Expr::Value(TValue::phy(r));
+            let old = Expr::Value(TValue::old(r));
+            new.push(Pred::Lessdef(cur.clone(), old.clone()));
+            new.push(Pred::Lessdef(old, cur));
         }
+        side.extend(new);
     }
 
     reduce_maydiff(&mut q);

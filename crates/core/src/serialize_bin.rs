@@ -101,6 +101,7 @@ pub fn from_bytes<'de, T: Deserialize<'de>>(bytes: &'de [u8]) -> Result<T, Error
     let mut d = BinDeserializer {
         input: bytes,
         table: None,
+        depth: 0,
     };
     let v = T::deserialize(&mut d)?;
     if d.input.is_empty() {
@@ -116,6 +117,15 @@ pub fn from_bytes<'de, T: Deserialize<'de>>(bytes: &'de [u8]) -> Result<T, Error
 /// it can never be the first byte of a v1 proof stream) plus the format
 /// version.
 pub const V2_MAGIC: [u8; 2] = [0xC5, 0x02];
+
+/// Deepest nesting of enums, structs, tuples, sequences, maps, options
+/// and newtype structs the decoder follows before it fails. Decoding
+/// recurses once per level, so without a limit a hostile stream could
+/// exhaust the stack. A nested constant expression costs three levels per
+/// step (`Const`, `ConstExpr`, its fields), so a module holding a constant
+/// at the text parser's limit of 256 steps reaches about 790; no other
+/// wire type nests deeper than a dozen levels.
+pub const MAX_DEPTH: usize = 1024;
 
 /// v1 format version number (implicit on the wire — v1 streams carry no
 /// header).
@@ -265,6 +275,7 @@ pub fn from_bytes_v2_with<'de, T: Deserialize<'de>>(
     let mut d = BinDeserializer {
         input: rest,
         table: None,
+        depth: 0,
     };
     let count = d.len()?;
     let mut table: Vec<&'de str> = Vec::with_capacity(count.max(scratch.table_cap));
@@ -277,6 +288,7 @@ pub fn from_bytes_v2_with<'de, T: Deserialize<'de>>(
     let mut body = BinDeserializer {
         input: d.input,
         table: Some(table),
+        depth: 0,
     };
     let result = T::deserialize(&mut body);
     let trailing = body.input.len();
@@ -637,9 +649,22 @@ struct BinDeserializer<'de> {
     /// (each entry bounds- and UTF-8-checked once, when the table was
     /// parsed); `None` means v1 inline strings.
     table: Option<Vec<&'de str>>,
+    /// Current nesting depth, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 impl<'de> BinDeserializer<'de> {
+    /// Run `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<R>(&mut self, f: impl FnOnce(&mut Self) -> Result<R, Error>) -> Result<R, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn byte(&mut self) -> Result<u8, Error> {
         let (&b, rest) = self
             .input
@@ -797,7 +822,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
         match self.byte()? {
             0 => visitor.visit_none(),
-            1 => visitor.visit_some(self),
+            1 => self.nested(|de| visitor.visit_some(de)),
             b => Err(err(format!("invalid option byte {b}"))),
         }
     }
@@ -819,22 +844,18 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
         _name: &'static str,
         visitor: V,
     ) -> Result<V::Value, Error> {
-        visitor.visit_newtype_struct(self)
+        self.nested(|de| visitor.visit_newtype_struct(de))
     }
 
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-        let n = self.len()?;
-        visitor.visit_seq(Counted {
-            de: self,
-            remaining: n,
+        self.nested(|de| {
+            let n = de.len()?;
+            visitor.visit_seq(Counted { de, remaining: n })
         })
     }
 
     fn deserialize_tuple<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value, Error> {
-        visitor.visit_seq(Counted {
-            de: self,
-            remaining: len,
-        })
+        self.nested(|de| visitor.visit_seq(Counted { de, remaining: len }))
     }
 
     fn deserialize_tuple_struct<V: Visitor<'de>>(
@@ -847,10 +868,9 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
     }
 
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, Error> {
-        let n = self.len()?;
-        visitor.visit_map(Counted {
-            de: self,
-            remaining: n,
+        self.nested(|de| {
+            let n = de.len()?;
+            visitor.visit_map(Counted { de, remaining: n })
         })
     }
 
@@ -869,7 +889,7 @@ impl<'de> de::Deserializer<'de> for &mut BinDeserializer<'de> {
         _variants: &'static [&'static str],
         visitor: V,
     ) -> Result<V::Value, Error> {
-        visitor.visit_enum(EnumAccess { de: self })
+        self.nested(|de| visitor.visit_enum(EnumAccess { de }))
     }
 
     fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value, Error> {
@@ -1134,6 +1154,56 @@ mod tests {
             to_bytes_v2_into(&v, &mut enc, &mut out).unwrap();
             assert_eq!(from_bytes_v2_with::<Nested>(&out, &mut dec).unwrap(), v);
         }
+    }
+
+    /// IR text for a module whose one constant nests `depth` `sub`s.
+    fn nested_const_text(depth: usize) -> String {
+        format!(
+            "define @f() -> i32 {{\nentry:\n  %x = add i32 {}1{}, 0\n  ret i32 %x\n}}\n",
+            "sub(i32 ".repeat(depth),
+            ", 1)".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_the_parser_admits_round_trips() {
+        let m = crellvm_ir::parse_module(&nested_const_text(256)).unwrap();
+        let bytes = to_bytes_v2(&m).unwrap();
+        assert_eq!(from_bytes_v2::<crellvm_ir::Module>(&bytes).unwrap(), m);
+        assert_eq!(
+            from_bytes::<crellvm_ir::Module>(&to_bytes(&m).unwrap()).unwrap(),
+            m
+        );
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        use crellvm_ir::{BinOp, Const, ConstExpr, Inst, Type, Value};
+        // Building, encoding and dropping a constant this deep recurse
+        // once per level, so they run on a thread with a large stack; the
+        // decode under test runs on this test's ordinary one.
+        let bytes = std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                let mut m = crellvm_ir::parse_module(&nested_const_text(1)).unwrap();
+                let mut c = Const::int(Type::I32, 1);
+                for _ in 0..20_000 {
+                    let one = Const::int(Type::I32, 1);
+                    c = Const::Expr(Box::new(ConstExpr::Bin(BinOp::Sub, Type::I32, c, one)));
+                }
+                let Inst::Bin { lhs, .. } = &mut m.functions[0].blocks[0].stmts[0].inst else {
+                    panic!("the fixture's first statement is an add");
+                };
+                *lhs = Value::Const(c);
+                (to_bytes_v2(&m).unwrap(), to_bytes(&m).unwrap())
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let e = from_bytes_v2::<crellvm_ir::Module>(&bytes.0).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper than"), "{e}");
+        let e = from_bytes::<crellvm_ir::Module>(&bytes.1).unwrap_err();
+        assert!(e.to_string().contains("nesting deeper than"), "{e}");
     }
 
     #[test]

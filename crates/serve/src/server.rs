@@ -828,6 +828,50 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_v2_module_body_is_a_400_and_the_daemon_lives() {
+        use crellvm_ir::{BinOp, Const, ConstExpr, Inst, Type};
+        // A constant nested 20 000 levels deep. Building, encoding and
+        // dropping it recurse once per level, so that happens on a thread
+        // with a large stack; the daemon decodes on its ordinary ones.
+        let bytes = std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                let mut m = parse_module(
+                    "define @f() -> i32 {\nentry:\n  %x = add i32 1, 0\n  ret i32 %x\n}\n",
+                )
+                .unwrap();
+                let mut c = Const::int(Type::I32, 1);
+                for _ in 0..20_000 {
+                    let one = Const::int(Type::I32, 1);
+                    c = Const::Expr(Box::new(ConstExpr::Bin(BinOp::Sub, Type::I32, c, one)));
+                }
+                let Inst::Bin { lhs, .. } = &mut m.functions[0].blocks[0].stmts[0].inst else {
+                    panic!("the fixture's first statement is an add");
+                };
+                *lhs = crellvm_ir::Value::Const(c);
+                crellvm_core::serialize_bin::to_bytes_v2(&m).unwrap()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let (handle, addr) = start_test_server(ServeConfig::default());
+        let (status, _, body) = call(
+            &addr,
+            "POST",
+            "/v1/validate",
+            &[("Content-Type", "application/x-crellvm-module-v2")],
+            &bytes,
+        )
+        .unwrap();
+        assert_eq!(status, 400);
+        let body = std::str::from_utf8(&body).unwrap();
+        assert!(body.contains("nesting deeper than"), "{body}");
+        let (status, _, _) = call(&addr, "GET", "/healthz", &[], &[]).unwrap();
+        assert_eq!(status, 200);
+        handle.shutdown();
+    }
+
+    #[test]
     fn tenants_do_not_share_cache_entries_but_one_tenant_hits_warm() {
         let (handle, addr) = start_test_server(ServeConfig::default());
         let post = |tenant: &str| {

@@ -113,6 +113,11 @@ impl Telemetry {
         self.registry.observe(name, value);
     }
 
+    /// Record every value of `values` into histogram `name`.
+    pub fn observe_all(&self, name: &str, values: &[u64]) {
+        self.registry.observe_all(name, values);
+    }
+
     /// Start a span timer; the elapsed time is recorded into timer `name`
     /// when the returned guard drops.
     pub fn span(&self, name: &str) -> Span<'_> {

@@ -162,6 +162,18 @@ impl Registry {
         intern(&self.histograms, name).record(value);
     }
 
+    /// Record every value of `values` into histogram `name` with one
+    /// lookup; an empty slice registers nothing.
+    pub fn observe_all(&self, name: &str, values: &[u64]) {
+        if values.is_empty() {
+            return;
+        }
+        let cell = intern(&self.histograms, name);
+        for &v in values {
+            cell.record(v);
+        }
+    }
+
     // -- timers ------------------------------------------------------------
 
     /// Record an already-measured duration into timer `name`.
