@@ -392,7 +392,13 @@ fn process_item_cached(
     tel.registry().merge_snapshot(&snapshot);
     let (tag, reason) = outcome_to_entry(&result.record.outcome);
     let mut entry = CacheEntry::new(tag, reason);
-    entry.proof = proof_to_bytes_v2(&result.unit).unwrap_or_default();
+    entry.proof = match opts.format {
+        // The I/O phase left this unit's v2 bytes in the scratch buffer.
+        ProofFormat::Binary => scratch.buf.clone(),
+        ProofFormat::Json | ProofFormat::BinaryV1 => {
+            proof_to_bytes_v2(&result.unit).unwrap_or_default()
+        }
+    };
     entry.proof_bytes = result.record.proof_bytes as u64;
     entry.metrics_json = snapshot.deterministic().to_json();
     if cache.insert(key, entry) {
@@ -677,6 +683,75 @@ mod tests {
         let (_, rep, _) = run_at(2);
         assert!(rep.bundles.is_empty());
         assert!(rep.span_items.is_empty());
+    }
+
+    #[test]
+    fn a_cache_miss_stores_the_v2_bytes_of_its_unit() {
+        let m = parse_module(PROGRAM).unwrap();
+        let config = PassConfig::default();
+        let checker = CheckerConfig::sound();
+        for format in [ProofFormat::Binary, ProofFormat::Json] {
+            let cache = Arc::new(ValidationCache::new());
+            let opts = ParallelOptions {
+                jobs: 1,
+                format,
+                cache: Some(Arc::clone(&cache)),
+                ..ParallelOptions::default()
+            };
+            // Every pass's input module and proofs, the step records, and
+            // the run's counters.
+            let run = || {
+                let tel = Telemetry::disabled();
+                let mut report = PipelineReport::default();
+                let mut passes = Vec::new();
+                let mut cur = m.clone();
+                for pass in PASS_ORDER {
+                    let out = run_validated_pass_parallel(
+                        pass,
+                        &cur,
+                        &config,
+                        &checker,
+                        &opts,
+                        &tel,
+                        &mut report,
+                    );
+                    passes.push((pass, std::mem::replace(&mut cur, out.module), out.proofs));
+                }
+                let steps: Vec<_> = report
+                    .steps
+                    .into_iter()
+                    .map(|s| (s.pass, s.func, s.outcome, s.proof_bytes))
+                    .collect();
+                (passes, steps, tel.registry().snapshot().counters)
+            };
+
+            let (passes, cold_steps, cold) = run();
+            let units = cold_steps.len() as u64;
+            assert_eq!(cold.get("cache.misses"), Some(&units), "{format:?}");
+            for (pass, input, proofs) in &passes {
+                for (f, unit) in input.functions.iter().zip(proofs) {
+                    let key = CacheKey::for_unit(
+                        &serialize_bin::to_bytes(f).unwrap(),
+                        pass,
+                        config.cache_token(),
+                        checker.cache_token(),
+                        format.wire_token(),
+                    );
+                    let entry = cache.get(key).expect("a miss stores its entry");
+                    assert_eq!(
+                        entry.proof,
+                        proof_to_bytes_v2(unit).unwrap(),
+                        "{format:?} {pass} @{}",
+                        f.name
+                    );
+                }
+            }
+
+            let (_, warm_steps, warm) = run();
+            assert_eq!(warm.get("cache.hits"), Some(&units), "{format:?}");
+            assert_eq!(warm.get("cache.misses"), None, "{format:?}");
+            assert_eq!(cold_steps, warm_steps, "{format:?}");
+        }
     }
 
     #[test]

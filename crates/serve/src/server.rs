@@ -45,7 +45,7 @@ use crellvm_telemetry::json::Value;
 use crellvm_telemetry::{export::openmetrics, Registry, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -171,14 +171,36 @@ impl ServerHandle {
     }
 
     /// Signal shutdown and join the listener and executors. In-flight
-    /// requests finish; queued ones are drained and answered.
+    /// requests finish; queued ones are drained and answered; one that
+    /// reaches admission after this is answered 503.
     pub fn shutdown(mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue lock, so no executor can read the flag
+        // clear and then miss this notify, and no job is queued after
+        // the executors may have gone.
+        {
+            let _queue = self.state.queue.lock().expect("queue lock poisoned");
+            self.state.shutdown.store(true, Ordering::SeqCst);
+        }
         self.state.queue_cv.notify_all();
+        // The listener is blocked in `accept`; one connection wakes it to
+        // see the flag.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
     }
+}
+
+/// Where `shutdown` connects to wake the listener: the bound address,
+/// with loopback in place of an unspecified IP (`0.0.0.0`, `::`).
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Start the daemon: bind, spawn the listener and executor threads, and
@@ -186,7 +208,6 @@ impl ServerHandle {
 pub fn start(cfg: ServeConfig) -> Result<ServerHandle, String> {
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("{}: {e}", cfg.addr))?;
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
-    listener.set_nonblocking(true).map_err(|e| e.to_string())?;
 
     let cache = match &cfg.cache_dir {
         Some(dir) => ValidationCache::with_dir(dir)
@@ -237,19 +258,24 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, String> {
     })
 }
 
-/// Accept loop: non-blocking accept with a short sleep so shutdown is
-/// observed promptly; each connection gets its own handler thread
-/// (one request per connection, loopback-scale traffic).
+/// Accept loop: blocks in `accept` and checks the shutdown flag after
+/// each return, so a request is taken the moment it arrives and shutdown
+/// wakes it with one connection (which is dropped). Each connection gets
+/// its own handler thread (one request per connection, loopback-scale
+/// traffic).
 fn listener_loop(state: &Arc<ServerState>, listener: &TcpListener) {
-    while !state.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let st = Arc::clone(state);
                 std::thread::spawn(move || handle_connection(&st, stream));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // An accept error such as EMFILE would repeat at once; back
+            // off so it cannot spin.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
@@ -268,11 +294,7 @@ fn executor_loop(state: &Arc<ServerState>) {
                 if state.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (q, _) = state
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(50))
-                    .unwrap();
-                queue = q;
+                queue = state.queue_cv.wait(queue).expect("queue lock poisoned");
             }
         };
         let Some(job) = job else { return };
@@ -319,11 +341,12 @@ fn run_validation(
     let mut lines = Vec::new();
     let mut steps = Vec::new();
     let mut failures = 0usize;
-    let mut cur = req.module.clone();
+    let mut cur: Option<Module> = None;
     for pass in &req.passes {
         let steps_before = report.steps.len();
+        let input = cur.as_ref().unwrap_or(&req.module);
         let out =
-            run_validated_pass_parallel(pass, &cur, &config, &checker, &opts, &tel, &mut report);
+            run_validated_pass_parallel(pass, input, &config, &checker, &opts, &tel, &mut report);
         for step in &report.steps[steps_before..] {
             if matches!(step.outcome, StepOutcome::Failed(_)) {
                 failures += 1;
@@ -341,7 +364,7 @@ fn run_validation(
                 step.proof_bytes,
             ));
         }
-        cur = out.module;
+        cur = Some(out.module);
     }
     if spans_on {
         write_span_log(state, req, &report);
@@ -506,7 +529,8 @@ fn parse_validate_request(state: &ServerState, req: &Request) -> Result<Validate
 /// Render a validation result per the request's `Accept` preference.
 fn render_validate_response(
     req: &Request,
-    vreq: &ValidateRequest,
+    trace_id: &str,
+    tenant: &str,
     result: &ValidateResult,
 ) -> Response {
     let wants_text = req
@@ -539,8 +563,8 @@ fn render_validate_response(
     cache.insert("hits".to_string(), Value::UInt(result.cache_hits));
     cache.insert("misses".to_string(), Value::UInt(result.cache_misses));
     let mut obj = BTreeMap::new();
-    obj.insert("trace_id".to_string(), Value::Str(vreq.trace_id.clone()));
-    obj.insert("tenant".to_string(), Value::Str(vreq.tenant.clone()));
+    obj.insert("trace_id".to_string(), Value::Str(trace_id.to_string()));
+    obj.insert("tenant".to_string(), Value::Str(tenant.to_string()));
     obj.insert("failures".to_string(), Value::UInt(result.failures as u64));
     obj.insert(
         "lines".to_string(),
@@ -576,28 +600,32 @@ fn handle_validate(state: &Arc<ServerState>, req: &Request) -> Response {
         &format!("serve.tenant.{}.requests", tenant_label(&vreq.tenant)),
         1,
     );
+    // The request moves into the job; the response needs only these.
+    let trace_id = vreq.trace_id.clone();
+    let tenant = vreq.tenant.clone();
 
     // Admission: a bounded queue with backpressure, never an unbounded
     // pile-up. Over capacity the client is told when to come back.
     let (tx, rx) = mpsc::channel();
     {
         let mut queue = state.queue.lock().unwrap();
+        // `shutdown` sets its flag under this lock, so a job pushed while
+        // the flag is clear is drained by an executor before it exits.
+        if state.shutdown.load(Ordering::SeqCst) {
+            drop(queue);
+            state.stats.add("serve.responses.503", 1);
+            return Response::text(503, "draining\n").header("X-Crellvm-Trace-Id", trace_id);
+        }
         if queue.len() >= state.cfg.queue_capacity {
             drop(queue);
             state.stats.add("serve.responses.429", 1);
             state.stats.add("serve.rejected", 1);
             return Response::text(429, "queue full, retry later\n")
                 .header("Retry-After", "1")
-                .header("X-Crellvm-Trace-Id", vreq.trace_id.clone());
+                .header("X-Crellvm-Trace-Id", trace_id);
         }
         queue.push_back(Job {
-            req: ValidateRequest {
-                module: vreq.module.clone(),
-                module_name: vreq.module_name.clone(),
-                passes: vreq.passes.clone(),
-                tenant: vreq.tenant.clone(),
-                trace_id: vreq.trace_id.clone(),
-            },
+            req: vreq,
             enqueued: Instant::now(),
             reply: tx,
         });
@@ -613,7 +641,7 @@ fn handle_validate(state: &Arc<ServerState>, req: &Request) -> Response {
     };
 
     // Verdict and latency accounting for the live plane.
-    let tlabel = tenant_label(&vreq.tenant);
+    let tlabel = tenant_label(&tenant);
     for (_, _, tag, _, _) in &result.steps {
         state.stats.add(&format!("serve.verdict.{tag}"), 1);
         state.stats.add(&format!("serve.tenant.{tlabel}.{tag}"), 1);
@@ -626,14 +654,14 @@ fn handle_validate(state: &Arc<ServerState>, req: &Request) -> Response {
         .observe("serve.latency_us", t0.elapsed().as_micros() as u64);
     state.stats.add("serve.responses.200", 1);
 
-    let resp = render_validate_response(req, &vreq, &result)
-        .header("X-Crellvm-Trace-Id", vreq.trace_id.clone())
+    let resp = render_validate_response(req, &trace_id, &tenant, &result)
+        .header("X-Crellvm-Trace-Id", trace_id.clone())
         .header("X-Crellvm-Failures", result.failures.to_string());
     state.stats.add("serve.bytes_out", resp.body.len() as u64);
     write_access_log(
         state,
-        &vreq.trace_id,
-        &vreq.tenant,
+        &trace_id,
+        &tenant,
         "/v1/validate",
         resp.status,
         bytes_in,
@@ -921,6 +949,62 @@ mod tests {
         assert!(text.contains("# TYPE serve_latency_us histogram\n"));
         assert!(text.contains("pipeline_validated_total"));
         handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_the_port() {
+        // The unspecified address has the wake connect go to loopback.
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let handle = start(ServeConfig {
+                addr: bind.to_string(),
+                ..ServeConfig::default()
+            })
+            .expect("server starts");
+            let port = handle.addr().port();
+            let (status, _, _) =
+                call(&format!("127.0.0.1:{port}"), "GET", "/healthz", &[], &[]).unwrap();
+            assert_eq!(status, 200);
+            handle.shutdown();
+            let refused = TcpStream::connect(("127.0.0.1", port)).expect_err(bind);
+            assert_eq!(
+                refused.kind(),
+                std::io::ErrorKind::ConnectionRefused,
+                "{bind}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_silent_connection_does_not_stall_the_daemon() {
+        let (handle, addr) = start_test_server(ServeConfig::default());
+        let silent = TcpStream::connect(&addr).unwrap();
+        let (status, _, _) = call(&addr, "GET", "/healthz", &[], &[]).unwrap();
+        assert_eq!(status, 200);
+        let (status, _, _) = call(&addr, "POST", "/v1/validate", &[], PROGRAM.as_bytes()).unwrap();
+        assert_eq!(status, 200);
+        handle.shutdown();
+        drop(silent);
+    }
+
+    #[test]
+    fn a_request_completed_after_shutdown_is_refused_not_stranded() {
+        use std::io::Read as _;
+        let (handle, addr) = start_test_server(ServeConfig::default());
+        let mut late = TcpStream::connect(&addr).unwrap();
+        let head = format!(
+            "POST /v1/validate HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            PROGRAM.len()
+        );
+        late.write_all(head.as_bytes()).unwrap();
+        // Connections are accepted in arrival order, so once a later one is
+        // answered, `late` has a handler waiting for its body.
+        let (status, _, _) = call(&addr, "GET", "/healthz", &[], &[]).unwrap();
+        assert_eq!(status, 200);
+        handle.shutdown();
+        late.write_all(PROGRAM.as_bytes()).unwrap();
+        let mut raw = String::new();
+        late.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 503 "), "{raw}");
     }
 
     #[test]

@@ -1236,8 +1236,10 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
         handle.shutdown();
         return code;
     }
+    // The daemon's threads do the work; this one waits, untimed, to be
+    // killed (`park` may return spuriously, hence the loop).
     loop {
-        std::thread::sleep(Duration::from_secs(3600));
+        std::thread::park();
     }
 }
 
