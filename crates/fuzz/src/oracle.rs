@@ -21,6 +21,11 @@
 //! **inconclusive**. A fuel-exhausted run is *never* evidence: it can
 //! neither witness a violation nor count as a pass, so it only ever
 //! produces `Inconclusive` (the ISSUE-level contract this module pins).
+//!
+//! [`observe_step_cached`] runs the checker and diff legs first and the
+//! refinement leg only where its outcome can still change the verdict
+//! (always under [`Tier::Differential`]); a skipped leg is
+//! [`RefinementSummary::Skipped`], which is never evidence either.
 
 use crellvm_core::{validate_with_telemetry, CheckerConfig, ProofUnit, ValidationError, Verdict};
 use crellvm_interp::{
@@ -90,6 +95,9 @@ pub enum RefinementSummary {
         /// How many of the input seeds ran out of fuel.
         out_of_fuel: u64,
     },
+    /// Not run: the checker and diff legs already fix the verdict. Never
+    /// evidence either way.
+    Skipped,
 }
 
 /// The structural-diff leg: observed target vs honest pass output.
@@ -188,8 +196,9 @@ pub fn refinement_leg(src: &Module, tgt: &Module, cfg: &OracleConfig) -> Refinem
 /// (per cache lifetime — the campaign keeps one cache per seed, so the
 /// 4+ input seeds × both modules × every step of a seed all share
 /// compilations). Records `interp.tier.compile` / `interp.tier.exec`
-/// timers; divergences witnessed under [`Tier::Differential`] come back
-/// alongside the summary.
+/// timers and the `interp.runs` / `interp.steps` work counters (one
+/// result per run, so every tier counts alike); divergences witnessed
+/// under [`Tier::Differential`] come back alongside the summary.
 pub fn refinement_leg_cached(
     src: &Module,
     tgt: &Module,
@@ -227,6 +236,7 @@ pub fn refinement_leg_cached(
 
     let mut divergences = Vec::new();
     let mut out_of_fuel = 0u64;
+    let (mut runs, mut steps) = (0u64, 0u64);
     let mut summary = None;
     for k in 0..cfg.input_seeds {
         let mut rc = input_run_config(k, cfg.fuel);
@@ -250,6 +260,8 @@ pub fn refinement_leg_cached(
             });
         }
         let (rs, rt) = (ts.result, tt.result);
+        runs += 2;
+        steps += rs.steps + rt.steps;
         if let Err(e) = check_refinement(&rs, &rt) {
             summary = Some(RefinementSummary::Fails {
                 input_seed: k,
@@ -261,6 +273,8 @@ pub fn refinement_leg_cached(
             out_of_fuel += 1;
         }
     }
+    tel.count("interp.runs", runs);
+    tel.count("interp.steps", steps);
     let summary = summary.unwrap_or(if out_of_fuel > 0 {
         RefinementSummary::Inconclusive { out_of_fuel }
     } else {
@@ -324,6 +338,10 @@ pub fn observe_step(
 
 /// [`observe_step`] with an optional bytecode compile cache (see
 /// [`refinement_leg_cached`]).
+///
+/// The checker and diff legs run first; the refinement leg runs only when
+/// its outcome can still change [`classify`]'s verdict, and is otherwise
+/// [`RefinementSummary::Skipped`] (counted as `fuzz.refinement.skipped`).
 #[allow(clippy::too_many_arguments)]
 pub fn observe_step_cached(
     src: &Module,
@@ -335,13 +353,36 @@ pub fn observe_step_cached(
     cache: Option<&mut BcCache>,
     tel: &Telemetry,
 ) -> Observation {
-    let (refinement, tier_divergences) = refinement_leg_cached(src, observed, cfg, cache, tel);
+    let checker = checker_leg(units, checker, tel);
+    let diff = diff_leg(honest, observed);
+    let (refinement, tier_divergences) = if needs_refinement(&checker, &diff, cfg.tier) {
+        refinement_leg_cached(src, observed, cfg, cache, tel)
+    } else {
+        tel.count("fuzz.refinement.skipped", 1);
+        (RefinementSummary::Skipped, Vec::new())
+    };
     Observation {
-        checker: checker_leg(units, checker, tel),
+        checker,
         refinement,
-        diff: diff_leg(honest, observed),
+        diff,
         tier_divergences,
     }
+}
+
+/// Can the refinement leg still change [`classify`]'s verdict, given the
+/// checker and diff legs? Not when the checker abstains (always
+/// `Inconclusive`), nor when it rejects a target that differs from the
+/// honest output (always `Agree`, and the campaign files nothing for it).
+/// Under [`Tier::Differential`] the refinement runs are also the tier
+/// cross-check, and a divergence overrides the whole lattice, so there it
+/// always runs.
+fn needs_refinement(checker: &CheckerSummary, diff: &DiffSummary, tier: Tier) -> bool {
+    tier == Tier::Differential
+        || match checker {
+            CheckerSummary::Accept => true,
+            CheckerSummary::Reject(_) => matches!(diff, DiffSummary::Clean),
+            CheckerSummary::Abstain(_) => false,
+        }
 }
 
 /// Fold one step's observations into the verdict lattice.
@@ -354,9 +395,10 @@ pub fn classify(obs: &Observation) -> OracleVerdict {
     match (&obs.checker, &obs.refinement) {
         (CheckerSummary::Accept, RefinementSummary::Fails { .. }) => OracleVerdict::SoundnessAlarm,
         (CheckerSummary::Accept, RefinementSummary::Holds) => OracleVerdict::Agree,
-        (CheckerSummary::Accept, RefinementSummary::Inconclusive { .. }) => {
-            OracleVerdict::Inconclusive
-        }
+        (
+            CheckerSummary::Accept,
+            RefinementSummary::Inconclusive { .. } | RefinementSummary::Skipped,
+        ) => OracleVerdict::Inconclusive,
         (CheckerSummary::Reject(_), RefinementSummary::Fails { .. }) => OracleVerdict::Agree,
         (CheckerSummary::Reject(_), rest) => {
             if matches!(obs.diff, DiffSummary::Differs(_)) {
@@ -448,6 +490,63 @@ mod tests {
             classify(&obs(Abstain("ns".into()), Holds, Clean)),
             OracleVerdict::Inconclusive
         );
+    }
+
+    #[test]
+    fn skipping_refinement_never_changes_the_verdict() {
+        use CheckerSummary::*;
+        use DiffSummary::*;
+        use RefinementSummary::*;
+        let checkers = || [Accept, reject(), Abstain("ns".into())];
+        let diffs = || [Clean, Differs("x".into())];
+        let refinements = || {
+            [
+                Holds,
+                Fails {
+                    input_seed: 0,
+                    reason: String::new(),
+                },
+                Inconclusive { out_of_fuel: 1 },
+                Skipped,
+            ]
+        };
+        let verdict = |checker, diff, refinement| {
+            classify(&Observation {
+                checker,
+                refinement,
+                diff,
+                tier_divergences: Vec::new(),
+            })
+        };
+        for tier in [Tier::Tree, Tier::Bytecode, Tier::Differential] {
+            for checker in checkers() {
+                for diff in diffs() {
+                    let skips = !needs_refinement(&checker, &diff, tier);
+                    let case = format!("{checker:?} × {diff:?} × {tier:?}");
+                    if tier == Tier::Differential || matches!(checker, Accept) {
+                        assert!(!skips, "{case} must run the refinement leg");
+                    }
+                    if skips {
+                        let verdicts: Vec<_> = refinements()
+                            .into_iter()
+                            .map(|r| verdict(checker.clone(), diff.clone(), r))
+                            .collect();
+                        assert!(
+                            verdicts.iter().all(|v| *v == verdicts[0]),
+                            "{case} skips, yet refinement decides: {verdicts:?}"
+                        );
+                    }
+                }
+            }
+        }
+        // Accept never meets Skipped; if it did, it would be no evidence.
+        for diff in diffs() {
+            let v = verdict(Accept, diff, Skipped);
+            assert!(
+                !matches!(v, OracleVerdict::SoundnessAlarm | OracleVerdict::Agree),
+                "{v:?}"
+            );
+        }
     }
 
     #[test]

@@ -620,8 +620,8 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
         );
     }
 
-    // Fuzz campaign: oracle verdicts and where the refinement leg's
-    // interpreter time went.
+    // Fuzz campaign: oracle verdicts, how much refinement work the oracle
+    // did (and skipped), and where its interpreter time went.
     let verdicts: Vec<(&str, u64)> = snap
         .counters
         .iter()
@@ -634,6 +634,15 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
         let _ = writeln!(out, "{:<34} {:>12}", "fuzz campaign", "value");
         for (name, n) in verdicts {
             let _ = writeln!(out, "  {:<32} {n:>12}", format!("verdict.{name}"));
+        }
+        for (row, name) in [
+            ("refinement.skipped", "fuzz.refinement.skipped"),
+            ("interp.runs", "interp.runs"),
+            ("interp.steps", "interp.steps"),
+        ] {
+            if let Some(n) = snap.counters.get(name) {
+                let _ = writeln!(out, "  {row:<32} {n:>12}");
+            }
         }
         for name in ["interp.tier.compile", "interp.tier.exec"] {
             if snap.timers.contains_key(name) {

@@ -289,6 +289,18 @@ fn report_of_fuzz_metrics_shows_the_campaign_not_pipeline_zeros() {
     assert!(!report.contains("#V"), "{report}");
     assert!(report.starts_with("fuzz campaign"), "{report}");
     assert!(report.contains("verdict.agree"), "{report}");
+    // The oracle's work counts: skipped refinement legs and the
+    // interpreter runs and steps it did do.
+    for row in ["refinement.skipped", "interp.runs", "interp.steps"] {
+        let n: u64 = report
+            .lines()
+            .find_map(|l| l.trim_start().strip_prefix(row))
+            .unwrap_or_else(|| panic!("no {row} row: {report}"))
+            .trim()
+            .parse()
+            .unwrap_or_else(|e| panic!("{row} is not a count ({e}): {report}"));
+        assert!(n > 0, "{row} is zero: {report}");
+    }
     assert!(report.contains("interp.tier.exec (ms)"), "{report}");
     assert!(report.contains("interp.bc.cache.hit_rate"), "{report}");
 

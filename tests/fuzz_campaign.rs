@@ -24,11 +24,20 @@ fn campaign(compiler: &str, seeds: std::ops::Range<u64>, mutate: f64) -> Campaig
 fn reports_are_byte_identical_across_jobs_and_tiers() {
     // The report is a pure function of (seed range, config): neither the
     // worker count nor the interpreter tier executing the refinement leg
-    // may leak into a single byte of it. The last row is the campaign
-    // default, pinned against the tree-walk reference.
+    // may leak into a single byte of it. The campaign default is pinned
+    // against the tree-walk reference, and the differential row, which
+    // runs every oracle leg on every step, against the skipping tiers.
     let tier = |tier| OracleConfig {
         tier,
         ..OracleConfig::default()
+    };
+    let report = |oracle, jobs| {
+        let cfg = CampaignConfig {
+            jobs,
+            oracle,
+            ..campaign("3.7.1", 0..25, 0.3)
+        };
+        run_campaign(&cfg, &Telemetry::disabled()).to_json()
     };
     let mut texts = Vec::new();
     for oracle in [
@@ -37,20 +46,46 @@ fn reports_are_byte_identical_across_jobs_and_tiers() {
         OracleConfig::default(),
     ] {
         for jobs in [1, 2, 8] {
-            let cfg = CampaignConfig {
-                jobs,
-                oracle: oracle.clone(),
-                ..campaign("3.7.1", 0..25, 0.3)
-            };
-            texts.push(run_campaign(&cfg, &Telemetry::disabled()).to_json());
+            texts.push(report(oracle.clone(), jobs));
         }
     }
+    texts.push(report(tier(Tier::Differential), 1));
     for (i, t) in texts.iter().enumerate().skip(1) {
         assert_eq!(
             &texts[0], t,
             "report {i} (tier x jobs grid) differs from the tree/jobs=1 baseline"
         );
     }
+}
+
+#[test]
+fn skipped_refinement_legs_change_no_report_byte() {
+    // The default tier skips the refinement leg where the checker and
+    // diff legs already fix the verdict; the differential tier runs every
+    // leg. Same report, strictly more interpreter runs.
+    let run = |oracle| {
+        let tel = Telemetry::disabled();
+        let cfg = CampaignConfig {
+            oracle,
+            ..campaign("3.7.1", 0..8, 0.25)
+        };
+        let report = run_campaign(&cfg, &tel).to_json();
+        let count = |name| tel.registry().counter_value(name);
+        (
+            report,
+            count("fuzz.refinement.skipped"),
+            count("interp.runs"),
+        )
+    };
+    let (lazy, lazy_skipped, lazy_runs) = run(OracleConfig::default());
+    let (every, every_skipped, every_runs) = run(OracleConfig {
+        tier: Tier::Differential,
+        ..OracleConfig::default()
+    });
+    assert!(lazy_skipped > 0);
+    assert_eq!(every_skipped, 0);
+    assert!(every_runs > lazy_runs, "{every_runs} vs {lazy_runs}");
+    assert_eq!(lazy, every);
 }
 
 #[test]
