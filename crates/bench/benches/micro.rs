@@ -3,7 +3,7 @@
 //! I/O column), and the reference interpreter.
 
 use crellvm_core::{
-    calc_post_cmd, proof_from_bytes, proof_from_json, proof_to_bytes, proof_to_json, validate,
+    calc_post_cmd, proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_json, validate,
     Assertion, ProofUnit,
 };
 use crellvm_gen::{generate_module, GenConfig};
@@ -59,7 +59,7 @@ fn bench_proof_io(c: &mut Criterion) {
     c.bench_function("io/proof_binary_roundtrip", |b| {
         b.iter(|| {
             for u in &units {
-                let bytes = proof_to_bytes(u).unwrap();
+                let bytes = proof_to_bytes_v2(u).unwrap();
                 let _ = std::hint::black_box(proof_from_bytes(&bytes).unwrap());
             }
         })

@@ -5,7 +5,7 @@
 //! Reported per worker count: wall time, the four Fig 6/8 phase columns
 //! (Orig/PCal/I-O/PCheck) with the I-O phase split into encode and decode,
 //! speedup versus one worker, and steal totals. The `proof_io` section
-//! compares the three wire formats (JSON, binary v1, binary v2) on the
+//! compares the two wire formats (JSON, binary v2) on the
 //! same proof corpus — total bytes plus encode/decode time — and the
 //! `cache` section times a cold versus a warm `--cache-dir`-style run.
 //!
@@ -24,7 +24,9 @@
 //! `fuzz.campaign_exec_per_s.bc`); the two reports must be identical.
 
 use crellvm_bench::history::{self, HistoryRecord};
-use crellvm_core::{proof_from_bytes, proof_from_json, proof_to_bytes, proof_to_json, ProofUnit};
+use crellvm_core::{
+    proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_json, ProofUnit,
+};
 use crellvm_core::{CheckerConfig, ValidationCache};
 use crellvm_fuzz::{run_campaign, CampaignConfig, OracleConfig};
 use crellvm_gen::{generate_module, GenConfig};
@@ -327,20 +329,16 @@ fn main() {
         .iter()
         .map(|u| proof_to_json(u).expect("encodes").len() as u64)
         .sum();
-    let proof_io: Vec<FormatStats> = [
-        ProofFormat::Json,
-        ProofFormat::BinaryV1,
-        ProofFormat::Binary,
-    ]
-    .into_iter()
-    .map(|f| format_stats(&proofs, json_bytes, f))
-    .collect();
-    // Sanity anchor: v1 measured through the direct API must agree.
-    let v1_direct: u64 = proofs
+    let proof_io: Vec<FormatStats> = [ProofFormat::Json, ProofFormat::Binary]
+        .into_iter()
+        .map(|f| format_stats(&proofs, json_bytes, f))
+        .collect();
+    // Sanity anchor: v2 measured through the direct API must agree.
+    let v2_direct: u64 = proofs
         .iter()
-        .map(|u| proof_to_bytes(u).expect("encodes").len() as u64)
+        .map(|u| proof_to_bytes_v2(u).expect("encodes").len() as u64)
         .sum();
-    assert_eq!(proof_io[1].bytes, v1_direct);
+    assert_eq!(proof_io[1].bytes, v2_direct);
     println!(
         "\n{:>10} {:>10} {:>9} {:>11} {:>11}",
         "format", "bytes", "vs json", "encode(ms)", "decode(ms)"

@@ -13,6 +13,8 @@
 //! The `benches/` directory contains one target per figure; run them all
 //! with `cargo bench`.
 
+#![forbid(unsafe_code)]
+
 pub mod experiment;
 pub mod history;
 pub mod sloc;

@@ -150,7 +150,6 @@ pub struct ValidationCache {
     mem: Mutex<BTreeMap<CacheKey, CacheEntry>>,
     dir: Option<PathBuf>,
     capacity: usize,
-    mmap: bool,
 }
 
 impl fmt::Debug for ValidationCache {
@@ -177,7 +176,6 @@ impl ValidationCache {
             mem: Mutex::new(BTreeMap::new()),
             dir: None,
             capacity: 1 << 16,
-            mmap: false,
         }
     }
 
@@ -204,17 +202,6 @@ impl ValidationCache {
         self
     }
 
-    /// Read disk entries through a private file mapping instead of a heap
-    /// read (`--mmap`). The v2 decoder borrows its string table from the
-    /// buffer either way, so the mapping removes the one remaining
-    /// full-buffer copy; [`crate::mmapio::read_bytes`] falls back to the
-    /// heap whenever the platform or kernel refuses.
-    #[must_use]
-    pub fn with_mmap(mut self, mmap: bool) -> ValidationCache {
-        self.mmap = mmap;
-        self
-    }
-
     /// Number of in-memory entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -236,7 +223,7 @@ impl ValidationCache {
             return Some(e.clone());
         }
         let path = self.dir.as_ref()?.join(file_name(key));
-        let bytes = crate::mmapio::read_bytes(&path, self.mmap).ok()?;
+        let bytes = std::fs::read(&path).ok()?;
         let entry = serialize_bin::from_bytes_v2::<CacheEntry>(&bytes).ok()?;
         if entry.entry_version != ENTRY_VERSION {
             return None;
@@ -352,36 +339,17 @@ mod tests {
         // A fresh cache over the same dir hits through disk.
         let cache = ValidationCache::with_dir(&dir).unwrap();
         assert_eq!(cache.get(CacheKey(7)).unwrap().proof, vec![7; 3]);
-        // Corrupting the file demotes it to a miss (checksum catches it).
+        // Corrupting the file demotes it to a miss: a flipped magic byte
+        // fails the format check, a flipped body byte the checksum.
         let path = dir.join(file_name(CacheKey(7)));
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let cache = ValidationCache::with_dir(&dir).unwrap();
-        assert!(cache.get(CacheKey(7)).is_none());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn mmap_reader_hits_and_rejects_identically_to_heap() {
-        let dir = std::env::temp_dir().join(format!("crellvm-cache-mmap-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
+        let good = std::fs::read(&path).unwrap();
+        for pos in [0, good.len() - 1] {
+            let mut bytes = good.clone();
+            bytes[pos] ^= 0xff;
+            std::fs::write(&path, &bytes).unwrap();
             let cache = ValidationCache::with_dir(&dir).unwrap();
-            cache.insert(CacheKey(9), entry(9));
+            assert!(cache.get(CacheKey(7)).is_none(), "flip at {pos} hit");
         }
-        let mapped = ValidationCache::with_dir(&dir).unwrap().with_mmap(true);
-        let heap = ValidationCache::with_dir(&dir).unwrap();
-        assert_eq!(mapped.get(CacheKey(9)), heap.get(CacheKey(9)));
-        assert_eq!(mapped.get(CacheKey(9)).unwrap().proof, vec![9; 3]);
-        // Corruption through the mapping is still just a miss.
-        let path = dir.join(file_name(CacheKey(9)));
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[0] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let mapped = ValidationCache::with_dir(&dir).unwrap().with_mmap(true);
-        assert!(mapped.get(CacheKey(9)).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod assertion;
 pub mod auto;
 pub mod cache;
@@ -48,7 +50,6 @@ pub mod equivbeh;
 pub mod expr;
 pub mod forensics;
 pub mod infrule;
-pub mod mmapio;
 pub mod postcond;
 pub mod proof;
 pub mod rules_arith;
@@ -67,12 +68,10 @@ pub use equivbeh::check_equiv_beh;
 pub use expr::{Expr, Side, TReg, TValue};
 pub use forensics::{forensic_bundle, replay, ReplayReport};
 pub use infrule::{all_rule_names, apply_inf, apply_inf_owned, CheckerConfig, InfError, InfRule};
-pub use mmapio::{read_bytes, ProofBytes};
 pub use postcond::{calc_post_cmd, calc_post_phi};
 pub use proof::{Loc, ProofBuilder, ProofUnit, RowShape, RulePos, SlotId};
 pub use rules_arith::ArithRule;
 pub use rules_composite::CompositeRule;
 pub use serialize::{
-    proof_from_bytes, proof_from_bytes_v1, proof_from_bytes_v2, proof_from_bytes_v2_with,
-    proof_from_json, proof_to_bytes, proof_to_bytes_v2, proof_to_bytes_v2_into, proof_to_json,
+    proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_bytes_v2_into, proof_to_json,
 };

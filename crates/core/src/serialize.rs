@@ -10,7 +10,7 @@ use crate::assertion::Assertion;
 use crate::auto::AutoKind;
 use crate::infrule::InfRule;
 use crate::proof::{ProofUnit, RowShape, RulePos, SlotId};
-use crate::serialize_bin::{self, DecodeScratch, EncodeScratch};
+use crate::serialize_bin::{self, EncodeScratch};
 use crellvm_ir::{Block, Function, FunctionShellRef};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -76,40 +76,6 @@ pub fn proof_to_json(unit: &ProofUnit) -> serde_json::Result<String> {
 /// Fails on malformed input.
 pub fn proof_from_json(s: &str) -> serde_json::Result<ProofUnit> {
     serde_json::from_str::<ProofUnitWire>(s).map(ProofUnit::from)
-}
-
-/// Serialize a proof unit to the compact binary format — the paper's §7
-/// remedy for the I/O bottleneck (see [`crate::serialize_bin`]).
-///
-/// # Errors
-///
-/// Effectively unreachable for these types (kept for API symmetry).
-pub fn proof_to_bytes(unit: &ProofUnit) -> Result<Vec<u8>, crate::serialize_bin::Error> {
-    crate::serialize_bin::to_bytes(&ProofUnitWire::from(unit))
-}
-
-/// Deserialize a proof unit from either binary format, sniffing the
-/// version from the leading bytes (v2 streams carry a magic prefix; v1
-/// streams cannot start with it).
-///
-/// # Errors
-///
-/// Fails on truncated or corrupted input.
-pub fn proof_from_bytes(bytes: &[u8]) -> Result<ProofUnit, serialize_bin::Error> {
-    if serialize_bin::is_v2(bytes) {
-        proof_from_bytes_v2(bytes)
-    } else {
-        proof_from_bytes_v1(bytes)
-    }
-}
-
-/// Deserialize a proof unit from the v1 binary format only.
-///
-/// # Errors
-///
-/// Fails on truncated or corrupted input.
-pub fn proof_from_bytes_v1(bytes: &[u8]) -> Result<ProofUnit, serialize_bin::Error> {
-    serialize_bin::from_bytes::<ProofUnitWire>(bytes).map(ProofUnit::from)
 }
 
 // ------------------------------------------------------- wire format v2
@@ -393,28 +359,16 @@ pub fn proof_to_bytes_v2_into(
     serialize_bin::to_bytes_v2_into(&ProofUnitWireV2Ref::from(unit), scratch, out)
 }
 
-/// Deserialize a proof unit from wire format v2.
+/// Deserialize a proof unit from wire format v2, the one binary proof
+/// format — the paper's §7 remedy for the I/O bottleneck (see
+/// [`crate::serialize_bin`]).
 ///
 /// # Errors
 ///
 /// Fails cleanly on a missing magic, checksum mismatch, corrupt string
 /// table, or out-of-range block/assertion backreference.
-pub fn proof_from_bytes_v2(bytes: &[u8]) -> Result<ProofUnit, serialize_bin::Error> {
+pub fn proof_from_bytes(bytes: &[u8]) -> Result<ProofUnit, serialize_bin::Error> {
     serialize_bin::from_bytes_v2::<ProofUnitWireV2>(bytes).and_then(ProofUnit::try_from)
-}
-
-/// [`proof_from_bytes_v2`] with reusable decoder scratch (the per-worker
-/// decode-arena entry point).
-///
-/// # Errors
-///
-/// Same failure modes as [`proof_from_bytes_v2`].
-pub fn proof_from_bytes_v2_with(
-    bytes: &[u8],
-    scratch: &mut DecodeScratch,
-) -> Result<ProofUnit, serialize_bin::Error> {
-    serialize_bin::from_bytes_v2_with::<ProofUnitWireV2>(bytes, scratch)
-        .and_then(ProofUnit::try_from)
 }
 
 #[cfg(test)]
@@ -501,11 +455,7 @@ mod tests {
     fn v2_roundtrip_preserves_everything() {
         let unit = sample_unit();
         let bytes = proof_to_bytes_v2(&unit).unwrap();
-        assert_units_equal(&unit, &proof_from_bytes_v2(&bytes).unwrap());
-        // The sniffing entry point takes both formats.
         assert_units_equal(&unit, &proof_from_bytes(&bytes).unwrap());
-        let v1 = proof_to_bytes(&unit).unwrap();
-        assert_units_equal(&unit, &proof_from_bytes(&v1).unwrap());
     }
 
     #[test]
@@ -520,19 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_is_smaller_than_v1() {
-        let unit = sample_unit();
-        let v1 = proof_to_bytes(&unit).unwrap();
-        let v2 = proof_to_bytes_v2(&unit).unwrap();
-        assert!(
-            v2.len() < v1.len(),
-            "v2 ({}) not smaller than v1 ({})",
-            v2.len(),
-            v1.len()
-        );
-    }
-
-    #[test]
     fn v2_corruption_is_a_clean_error() {
         let bytes = proof_to_bytes_v2(&sample_unit()).unwrap();
         for cut in 0..bytes.len() {
@@ -540,6 +477,6 @@ mod tests {
         }
         let mut flipped = bytes.clone();
         flipped[12] ^= 0x40;
-        assert!(proof_from_bytes_v2(&flipped).is_err());
+        assert!(proof_from_bytes(&flipped).is_err());
     }
 }

@@ -26,6 +26,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 use crellvm_ir::{Function, Inst, Module, RegId, Term, Value};
 use std::collections::HashMap;
 use std::fmt;

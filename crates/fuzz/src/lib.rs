@@ -23,6 +23,8 @@
 //! refinement leg that ran out of fuel cannot promote a rejection into a
 //! completeness gap, and cannot clear an acceptance.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod oracle;
 

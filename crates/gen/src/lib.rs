@@ -21,6 +21,8 @@
 //! assert!(m.function("main").is_some());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod mutate;
 pub mod prng;

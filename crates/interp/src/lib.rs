@@ -46,6 +46,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bytecode;
 pub mod compile;
 pub mod event;

@@ -43,6 +43,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod cfg;
 pub mod constant;

@@ -54,6 +54,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod gvn;
 pub mod instcombine;

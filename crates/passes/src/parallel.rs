@@ -395,9 +395,7 @@ fn process_item_cached(
     entry.proof = match opts.format {
         // The I/O phase left this unit's v2 bytes in the scratch buffer.
         ProofFormat::Binary => scratch.buf.clone(),
-        ProofFormat::Json | ProofFormat::BinaryV1 => {
-            proof_to_bytes_v2(&result.unit).unwrap_or_default()
-        }
+        ProofFormat::Json => proof_to_bytes_v2(&result.unit).unwrap_or_default(),
     };
     entry.proof_bytes = result.record.proof_bytes as u64;
     entry.metrics_json = snapshot.deterministic().to_json();

@@ -8,11 +8,10 @@
 //! `I/O` (JSON round-trip of the proof), and `PCheck` (the checker).
 
 use crate::config::{PassConfig, PassOutcome};
-use crellvm_core::serialize_bin::{DecodeScratch, EncodeScratch};
+use crellvm_core::serialize_bin::EncodeScratch;
 use crellvm_core::{
-    proof_from_bytes_v1, proof_from_bytes_v2_with, proof_from_json, proof_to_bytes,
-    proof_to_bytes_v2_into, proof_to_json, validate_with_telemetry, CheckerConfig, ProofUnit,
-    Verdict,
+    proof_from_bytes, proof_from_json, proof_to_bytes_v2_into, proof_to_json,
+    validate_with_telemetry, CheckerConfig, ProofUnit, Verdict,
 };
 use crellvm_ir::Module;
 use crellvm_telemetry::forensics::ForensicBundle;
@@ -22,29 +21,25 @@ use std::time::{Duration, Instant};
 /// On-the-wire encoding of proofs between the compiler and the checker.
 ///
 /// The paper ships JSON and measures it as the dominant cost column; §7
-/// proposes binary proofs as the remedy. All three stages are available
-/// so the benches can quantify each step of the remedy end-to-end: the
-/// paper's JSON, the tag-free v1 binary codec, and the dictionary-coded
-/// v2 container that is now the engine default.
+/// proposes binary proofs as the remedy. Both are available so the
+/// benches can quantify the remedy end-to-end: the paper's JSON, and the
+/// dictionary-coded v2 container that is the engine default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ProofFormat {
     /// JSON text, as in the paper's pipeline.
     Json,
-    /// The tag-free v1 binary codec of `crellvm_core::serialize_bin`.
-    BinaryV1,
     /// Wire format v2: dictionary-coded strings plus block/assertion
     /// delta tables. The default on-the-wire format.
     #[default]
     Binary,
 }
 
-/// Reusable per-worker codec buffers: the encode output, the v2 encoder
-/// dictionary/body, and the v2 decoder span table all survive across
-/// proofs, removing the per-unit allocation churn from the io phase.
+/// Reusable per-worker codec buffers: the encode output and the v2
+/// encoder dictionary/body survive across proofs, removing the per-unit
+/// allocation churn from the io phase's encode.
 #[derive(Debug, Default)]
 pub struct CodecScratch {
     enc: EncodeScratch,
-    dec: DecodeScratch,
     /// The last encoded proof (`encode_into` output, `decode_scratch`
     /// input).
     pub buf: Vec<u8>,
@@ -59,9 +54,6 @@ impl ProofFormat {
                 scratch.buf.clear();
                 scratch.buf.extend_from_slice(json.as_bytes());
             }
-            ProofFormat::BinaryV1 => {
-                scratch.buf = proof_to_bytes(unit).expect("serialize proof");
-            }
             ProofFormat::Binary => {
                 proof_to_bytes_v2_into(unit, &mut scratch.enc, &mut scratch.buf)
                     .expect("serialize proof");
@@ -72,31 +64,14 @@ impl ProofFormat {
 
     /// Deserialize the proof last encoded into `scratch.buf`.
     pub fn decode_scratch(self, scratch: &mut CodecScratch) -> ProofUnit {
-        let CodecScratch { dec, buf, .. } = scratch;
+        let buf = &scratch.buf;
         match self {
             ProofFormat::Json => {
                 let json = std::str::from_utf8(buf).expect("json proof is utf-8");
                 proof_from_json(json).expect("deserialize proof")
             }
-            ProofFormat::BinaryV1 => proof_from_bytes_v1(buf).expect("deserialize proof"),
-            ProofFormat::Binary => proof_from_bytes_v2_with(buf, dec).expect("deserialize proof"),
+            ProofFormat::Binary => proof_from_bytes(buf).expect("deserialize proof"),
         }
-    }
-
-    /// Serialize + deserialize one proof, returning the wire size.
-    pub fn roundtrip(self, unit: &ProofUnit) -> (ProofUnit, usize) {
-        let mut scratch = CodecScratch::default();
-        self.roundtrip_with(unit, &mut scratch)
-    }
-
-    /// [`Self::roundtrip`] with reusable codec buffers.
-    pub fn roundtrip_with(
-        self,
-        unit: &ProofUnit,
-        scratch: &mut CodecScratch,
-    ) -> (ProofUnit, usize) {
-        let n = self.encode_into(unit, scratch);
-        (self.decode_scratch(scratch), n)
     }
 
     /// Short stable name (CLI values, telemetry suffixes, bundle field).
@@ -104,7 +79,6 @@ impl ProofFormat {
     pub fn name(self) -> &'static str {
         match self {
             ProofFormat::Json => "json",
-            ProofFormat::BinaryV1 => "binary-v1",
             ProofFormat::Binary => "binary-v2",
         }
     }
@@ -114,19 +88,18 @@ impl ProofFormat {
     pub fn bytes_counter(self) -> &'static str {
         match self {
             ProofFormat::Json => "io.bytes.json",
-            ProofFormat::BinaryV1 => "io.bytes.v1",
             ProofFormat::Binary => "io.bytes.v2",
         }
     }
 
     /// Stable discriminant mixed into validation-cache keys (entries must
     /// not be shared across wire formats — step records carry the wire
-    /// size).
+    /// size). Token 1 belonged to a retired format; the values never
+    /// change, or every cache on disk would go cold.
     #[must_use]
     pub fn wire_token(self) -> u64 {
         match self {
             ProofFormat::Json => 0,
-            ProofFormat::BinaryV1 => 1,
             ProofFormat::Binary => 2,
         }
     }
@@ -514,41 +487,38 @@ mod tests {
                 run_validated_pass_with(pass, &jm, &config, &checker, ProofFormat::Json, &mut jrep);
         }
         verify_module(&jm).unwrap();
-        for format in [ProofFormat::BinaryV1, ProofFormat::Binary] {
-            let mut brep = PipelineReport::default();
-            let mut bm = m.clone();
-            for pass in PASS_ORDER {
-                bm = run_validated_pass_with(pass, &bm, &config, &checker, format, &mut brep);
-            }
-            assert_eq!(
-                crellvm_ir::printer::print_module(&jm),
-                crellvm_ir::printer::print_module(&bm)
+        let mut brep = PipelineReport::default();
+        let mut bm = m.clone();
+        for pass in PASS_ORDER {
+            bm = run_validated_pass_with(
+                pass,
+                &bm,
+                &config,
+                &checker,
+                ProofFormat::Binary,
+                &mut brep,
             );
-            assert_eq!(jrep.steps.len(), brep.steps.len());
-            for (a, b) in jrep.steps.iter().zip(&brep.steps) {
-                assert_eq!(a.outcome, b.outcome, "@{} ({})", a.func, a.pass);
-                assert!(
-                    b.proof_bytes < a.proof_bytes,
-                    "{} not smaller at @{}",
-                    format.name(),
-                    a.func
-                );
-            }
+        }
+        assert_eq!(
+            crellvm_ir::printer::print_module(&jm),
+            crellvm_ir::printer::print_module(&bm)
+        );
+        assert_eq!(jrep.steps.len(), brep.steps.len());
+        for (a, b) in jrep.steps.iter().zip(&brep.steps) {
+            assert_eq!(a.outcome, b.outcome, "@{} ({})", a.func, a.pass);
+            assert!(b.proof_bytes < a.proof_bytes, "not smaller at @{}", a.func);
         }
     }
 
     #[test]
     fn format_metadata_is_stable() {
         assert_eq!(ProofFormat::default(), ProofFormat::Binary);
-        for f in [
-            ProofFormat::Json,
-            ProofFormat::BinaryV1,
-            ProofFormat::Binary,
-        ] {
-            assert_eq!(f.wire_token(), f.wire_token());
-        }
+        // Cache keys on disk mix these tokens in; renumbering one would
+        // cold-start every cache written before.
+        assert_eq!(ProofFormat::Json.wire_token(), 0);
+        assert_eq!(ProofFormat::Binary.wire_token(), 2);
         assert_eq!(ProofFormat::Binary.name(), "binary-v2");
         assert_eq!(ProofFormat::Binary.bytes_counter(), "io.bytes.v2");
-        assert_eq!(ProofFormat::BinaryV1.bytes_counter(), "io.bytes.v1");
+        assert_eq!(ProofFormat::Json.bytes_counter(), "io.bytes.json");
     }
 }

@@ -30,6 +30,8 @@
 //! byte-identical to offline output at any parallelism, warm or cold
 //! cache.
 
+#![forbid(unsafe_code)]
+
 pub mod http;
 pub mod loadgen;
 pub mod server;

@@ -73,12 +73,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Persistent cache directory (in-memory cache when `None`).
     pub cache_dir: Option<String>,
-    /// Read warm disk-cache entries through a private file mapping
-    /// (`--mmap`): the v2 decoder borrows straight out of the mapped
-    /// pages, skipping the heap copy. Falls back to a heap read whenever
-    /// the platform or kernel refuses, so responses are byte-identical
-    /// either way.
-    pub mmap: bool,
     /// Structured JSON-lines access log path.
     pub access_log: Option<String>,
     /// Span log path: one request-scoped `SpanTree` JSON line per
@@ -96,7 +90,6 @@ impl Default for ServeConfig {
             executors: 1,
             queue_capacity: 64,
             cache_dir: None,
-            mmap: false,
             access_log: None,
             span_log: None,
             max_body: 8 * 1024 * 1024,
@@ -210,9 +203,7 @@ pub fn start(cfg: ServeConfig) -> Result<ServerHandle, String> {
     let addr = listener.local_addr().map_err(|e| e.to_string())?;
 
     let cache = match &cfg.cache_dir {
-        Some(dir) => ValidationCache::with_dir(dir)
-            .map_err(|e| format!("{dir}: {e}"))?
-            .with_mmap(cfg.mmap),
+        Some(dir) => ValidationCache::with_dir(dir).map_err(|e| format!("{dir}: {e}"))?,
         None => ValidationCache::new(),
     };
     let open_log = |path: &Option<String>| -> Result<Option<Mutex<std::fs::File>>, String> {

@@ -203,7 +203,7 @@ pub struct ForensicBundle {
     /// `crellvm-core::forensics::replay`).
     pub proof_json: String,
     /// On-the-wire proof format name of the session that produced the
-    /// bundle (`"json"`, `"binary-v1"`, or `"binary-v2"`). The proof in
+    /// bundle (`"json"` or `"binary-v2"`). The proof in
     /// the bundle itself is always JSON for replayability; this records
     /// which transport encoding the failing proof actually travelled in.
     pub wire_format: String,

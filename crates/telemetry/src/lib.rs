@@ -28,6 +28,8 @@
 //! | `pipeline.*`        | step verdict totals: validated/failed/unsupported |
 //! | `time.*`            | span timers: orig/pcal/io/pcheck (Fig 8 columns)  |
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod forensics;
 pub mod json;

@@ -59,6 +59,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use crellvm_bench as bench;
 pub use crellvm_core as erhl;
 pub use crellvm_diff as diff;

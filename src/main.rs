@@ -79,10 +79,12 @@
 //! deterministic metrics/span views, so piped output and recorded
 //! snapshots are byte-identical with or without them.
 
+#![forbid(unsafe_code)]
+
 use crellvm::bench::history::{self, CompareConfig};
 use crellvm::diff::diff_modules;
 use crellvm::erhl::{
-    proof_from_bytes, proof_from_json, proof_to_bytes, proof_to_bytes_v2, proof_to_json, replay,
+    proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_json, replay,
     validate_with_telemetry, CacheEntry, CacheKey, CheckerConfig, ValidationCache, Verdict,
 };
 use crellvm::fuzz::{run_campaign_with_progress, write_findings, CampaignConfig};
@@ -107,7 +109,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(200);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v1|binary-v2] [--jobs N] [--cache-dir DIR] [--mmap] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--mmap] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--mmap] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
+        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -145,11 +147,8 @@ fn parse_jobs(arg: Option<&String>) -> Result<usize, String> {
 fn parse_format(arg: Option<&String>) -> Result<ProofFormat, String> {
     match arg.ok_or("--format needs a name")?.as_str() {
         "json" => Ok(ProofFormat::Json),
-        "binary-v1" => Ok(ProofFormat::BinaryV1),
         "binary-v2" | "binary" => Ok(ProofFormat::Binary),
-        other => Err(format!(
-            "unknown proof format {other} (json|binary-v1|binary-v2)"
-        )),
+        other => Err(format!("unknown proof format {other} (json|binary-v2)")),
     }
 }
 
@@ -158,13 +157,9 @@ fn parse_progress(arg: Option<&String>) -> Result<ProgressMode, String> {
     ProgressMode::parse(name).ok_or_else(|| format!("unknown progress mode {name} (human|json)"))
 }
 
-fn open_cache(arg: Option<&String>, mmap: bool) -> Result<Arc<ValidationCache>, String> {
-    let dir = arg.ok_or("--cache-dir needs a path")?;
-    Ok(Arc::new(
-        ValidationCache::with_dir(dir)
-            .map_err(|e| format!("{dir}: {e}"))?
-            .with_mmap(mmap),
-    ))
+fn open_cache(dir: &str) -> Result<Arc<ValidationCache>, String> {
+    let cache = ValidationCache::with_dir(dir).map_err(|e| format!("{dir}: {e}"))?;
+    Ok(Arc::new(cache))
 }
 
 fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
@@ -177,7 +172,6 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
     let mut format = ProofFormat::default();
     let mut jobs = default_jobs();
     let mut cache_dir: Option<String> = None;
-    let mut mmap = false;
     let mut metrics: Option<String> = None;
     let mut trace: Option<String> = None;
     let mut spans: Option<String> = None;
@@ -206,7 +200,6 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
             }
             "--jobs" => jobs = parse_jobs(it.next())?,
             "--cache-dir" => cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone()),
-            "--mmap" => mmap = true,
             "--metrics" => metrics = Some(it.next().ok_or("--metrics needs a path")?.clone()),
             "--trace" => trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
             "--spans" => spans = Some(it.next().ok_or("--spans needs a path")?.clone()),
@@ -228,10 +221,7 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
     if let Some(bad) = passes.iter().find(|p| !PASS_NAMES.contains(&p.as_str())) {
         return Err(format!("unknown pass {bad}"));
     }
-    let cache = cache_dir
-        .as_ref()
-        .map(|d| open_cache(Some(d), mmap))
-        .transpose()?;
+    let cache = cache_dir.as_deref().map(open_cache).transpose()?;
     let config = PassConfig::with_bugs(bugs);
     let (registry, tel) = make_telemetry(trace.as_deref())?;
     let checker = CheckerConfig::sound();
@@ -261,17 +251,10 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
             run_validated_pass_parallel(pass, &cur, &config, &checker, &opts, &tel, &mut report);
         if let Some(dir) = &proof_dir {
             for unit in &out.proofs {
-                // Binary dumps follow the selected wire format (v2 unless
-                // --format binary-v1 asked for the legacy encoding);
-                // `check` sniffs both.
                 let (path, bytes) = if binary {
-                    let bytes = match opts.format {
-                        ProofFormat::BinaryV1 => proof_to_bytes(unit),
-                        _ => proof_to_bytes_v2(unit),
-                    };
                     (
                         format!("{dir}/{pass}.{}.cpb", unit.src.name),
-                        bytes.map_err(|e| e.to_string())?,
+                        proof_to_bytes_v2(unit).map_err(|e| e.to_string())?,
                     )
                 } else {
                     (
@@ -437,7 +420,6 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let mut trace: Option<String> = None;
     let mut jobs = default_jobs();
     let mut cache_dir: Option<String> = None;
-    let mut mmap = false;
     let mut progress_mode: Option<ProgressMode> = None;
     let mut files: Vec<&String> = Vec::new();
     let mut it = args.iter();
@@ -446,18 +428,15 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
             "--trace" => trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
             "--jobs" => jobs = parse_jobs(it.next())?,
             "--cache-dir" => cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone()),
-            "--mmap" => mmap = true,
             "--progress" => progress_mode = Some(parse_progress(it.next())?),
+            other if other.starts_with("--") => return Err(format!("check: unknown flag {other}")),
             _ => files.push(a),
         }
     }
     if files.is_empty() {
         return Err("check: need at least one proof file".into());
     }
-    let cache = cache_dir
-        .as_ref()
-        .map(|d| open_cache(Some(d), mmap))
-        .transpose()?;
+    let cache = cache_dir.as_deref().map(open_cache).transpose()?;
     let progress = progress_mode.map(|mode| {
         let p = Progress::new(mode, "check", files.len() as u64);
         p.start_ticker(PROGRESS_PERIOD);
@@ -468,10 +447,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let checker = CheckerConfig::sound();
     let mut units = Vec::with_capacity(files.len());
     for path in files {
-        // With --mmap the proof file is mapped, not copied: the binary
-        // decoder borrows its string table straight out of the mapping.
-        let bytes = crellvm::erhl::read_bytes(std::path::Path::new(path), mmap)
-            .map_err(|e| format!("{path}: {e}"))?;
+        let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
         // The cache key is the proof's exact bytes plus the checker
         // token: re-checking an unchanged proof file with an unchanged
         // checker replays the stored verdict.
@@ -674,7 +650,7 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
     });
     let cache_hits = counter("cache.hits");
     let cache_misses = counter("cache.misses");
-    let io_rows = ["io.bytes.json", "io.bytes.v1", "io.bytes.v2"];
+    let io_rows = ["io.bytes.json", "io.bytes.v2"];
     let io_total: u64 = io_rows.iter().map(|r| counter(r)).sum();
     if counter("pipeline.jobs") > 0
         || !steals.is_empty()
@@ -1171,7 +1147,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
                 cfg.cache_dir = Some(dir.clone());
             }
-            "--mmap" => cfg.mmap = true,
             "--access-log" => {
                 cfg.access_log = Some(it.next().ok_or("--access-log needs a path")?.clone())
             }

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `crellvm` command-line tool.
 
+use crellvm::erhl::serialize_bin::fnv64;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -181,11 +182,55 @@ fn proof_dump_and_independent_check() {
         .sum();
     assert!(blen < jlen, "binary {blen} not smaller than json {jlen}");
 
-    // A corrupted proof file is a clean error, not a crash.
-    let bad = dir.join("bad.cpb");
-    std::fs::write(&bad, [0xff, 0xff, 0xff]).unwrap();
-    let out = run(&["check", bad.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
+    // Attack the checker at the proof-file fence: a damaged proof file
+    // is exit 2 naming the file, never a panic.
+    let good = std::fs::read_dir(dir.join("cpb"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .next()
+        .unwrap();
+    let bytes = std::fs::read(good).unwrap();
+    // Recompute the checksum (bytes 2..10 hash everything after them), so
+    // the damage reaches the decoder's own checks.
+    let reseal = |mut b: Vec<u8>| {
+        let sum = fnv64(&b[10..]);
+        b[2..10].copy_from_slice(&sum.to_le_bytes());
+        b
+    };
+    let mid = bytes.len() / 2;
+    let mut flipped = bytes.clone();
+    flipped[mid] ^= 0x10;
+    let mut trailing = bytes.clone();
+    trailing.push(0);
+    // A v1 dump from an older build starts with its pass name's length.
+    let mut v1 = bytes.clone();
+    v1[0] = b"mem2reg".len() as u8;
+    let cases = [
+        ("empty", Vec::new(), "missing v2 magic"),
+        ("half", bytes[..mid].to_vec(), "v2 checksum mismatch"),
+        ("flipped", flipped.clone(), "v2 checksum mismatch"),
+        ("trailing", reseal(trailing), "1 trailing bytes"),
+        ("v1", v1, "missing v2 magic"),
+        ("garbage", vec![0xff, 0xff, 0xff], "missing v2 magic"),
+    ];
+    for (name, content, why) in cases {
+        let path = dir.join(format!("{name}.cpb"));
+        std::fs::write(&path, content).unwrap();
+        let out = run(&["check", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains(path.to_str().unwrap()), "{name}: {stderr}");
+        assert!(stderr.contains(why), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    // Re-sealed, the same flip reaches the body decoder and perhaps the
+    // checker: any verdict or clean error will do, a panic will not.
+    let path = dir.join("resealed.cpb");
+    std::fs::write(&path, reseal(flipped)).unwrap();
+    let out = run(&["check", path.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(matches!(out.status.code(), Some(0..=2)), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]
@@ -426,6 +471,24 @@ fn bad_usage_is_reported() {
     assert_eq!(out.status.code(), Some(2));
     let out = run(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
+    // Retired flags and formats are refused by name, not taken for files.
+    for args in [
+        &["opt", "/nonexistent.cll", "--mmap"][..],
+        &["check", "--mmap", "x.cpb"],
+        &["serve", "--mmap"],
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag --mmap"), "{args:?}: {stderr}");
+    }
+    let out = run(&["opt", "/nonexistent.cll", "--format", "binary-v1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unknown proof format binary-v1"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! against corrupted or truncated proofs (a validator consuming
 //! compiler-produced files must never panic on a bad one).
 
+use crellvm::erhl::serialize_bin::{fnv64, to_bytes};
 use crellvm::erhl::{
-    proof_from_bytes, proof_from_json, proof_to_bytes, proof_to_bytes_v2, proof_to_json, validate,
-    ProofUnit, Verdict,
+    proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_json, validate, ProofUnit,
+    Verdict,
 };
 use crellvm::gen::{generate_module, FeatureMix, GenConfig};
 use crellvm::passes::{gvn, instcombine, licm, mem2reg, PassConfig};
@@ -35,6 +36,17 @@ fn proofs_for_seed(seed: u64) -> Vec<ProofUnit> {
     proofs
 }
 
+/// Bytes of v2 header: the 2-byte magic, then the 8-byte checksum of
+/// everything after it.
+const V2_HEADER: usize = 10;
+
+/// Recompute a v2 stream's checksum, so corruption past the header
+/// reaches the body decoder instead of stopping at the checksum.
+fn reseal(bytes: &mut [u8]) {
+    let sum = fnv64(&bytes[V2_HEADER..]);
+    bytes[2..V2_HEADER].copy_from_slice(&sum.to_le_bytes());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -56,15 +68,14 @@ proptest! {
         }
     }
 
-    /// The compact binary format (the paper's §7 remedy for the I/O
-    /// bottleneck) round-trips every generated proof with the same
-    /// verdict, and is consistently smaller than the JSON encoding.
+    /// The compact binary format, wire format v2 (the paper's §7 remedy
+    /// for the I/O bottleneck), round-trips every generated proof with the
+    /// same verdict, and is consistently smaller than the JSON encoding.
     #[test]
     fn binary_roundtrip_preserves_verdict_and_shrinks(seed in 0u64..4000) {
         for unit in proofs_for_seed(seed) {
-            let bytes = proof_to_bytes(&unit).unwrap();
+            let bytes = proof_to_bytes_v2(&unit).unwrap();
             let back = proof_from_bytes(&bytes).unwrap();
-            prop_assert_eq!(proof_to_bytes(&back).unwrap(), bytes.clone());
             match (validate(&unit), validate(&back)) {
                 (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
                 (Err(_), Err(_)) => {}
@@ -78,15 +89,51 @@ proptest! {
         }
     }
 
-    /// One-byte corruption of a binary proof never panics the
-    /// deserializer, and whatever still decodes never panics the checker.
+    /// Wire format v2 (dictionary-coded string table, deduplicated block
+    /// and assertion tables) is a *lossless* recoding: every generated
+    /// proof decodes back field-for-field identical, re-encodes to the
+    /// same bytes, and keeps its verdict. `proof_from_bytes` still sniffs
+    /// the version from the leading bytes: a headerless v1-shaped stream
+    /// of the same proof (the tag-free encoding, which opens with the
+    /// pass name's length) is told apart from v2 and refused cleanly,
+    /// never decoded as something else.
+    #[test]
+    fn v2_roundtrip_is_the_identity_and_v1_still_sniffs(seed in 0u64..4000) {
+        for unit in proofs_for_seed(seed) {
+            let v2 = proof_to_bytes_v2(&unit).unwrap();
+            let back = proof_from_bytes(&v2).unwrap();
+            prop_assert_eq!(&back.pass, &unit.pass);
+            prop_assert_eq!(&back.src, &unit.src);
+            prop_assert_eq!(&back.tgt, &unit.tgt);
+            prop_assert_eq!(&back.alignment, &unit.alignment);
+            prop_assert_eq!(&back.assertions, &unit.assertions);
+            prop_assert_eq!(&back.infrules, &unit.infrules);
+            prop_assert_eq!(&back.autos, &unit.autos);
+            prop_assert_eq!(&back.not_supported, &unit.not_supported);
+            prop_assert_eq!(proof_to_bytes_v2(&back).unwrap(), v2.clone());
+            match (validate(&unit), validate(&back)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Err(_), Err(_)) => {}
+                other => prop_assert!(false, "verdicts diverge: {other:?}"),
+            }
+            let v1 = to_bytes(&unit).unwrap();
+            prop_assert_eq!(usize::from(v1[0]), unit.pass.len());
+            prop_assert_eq!(&v1[1..=unit.pass.len()], unit.pass.as_bytes());
+            let refused = proof_from_bytes(&v1).unwrap_err().to_string();
+            prop_assert!(refused.contains("missing v2 magic"), "{}", refused);
+        }
+    }
+
+    /// One-byte corruption of a v2 proof's string table or body, re-sealed
+    /// under a valid checksum, never panics the decoder, and whatever
+    /// still decodes never panics the checker.
     #[test]
     fn corrupted_proof_bytes_never_panic(seed in 0u64..400, frac in 0.0f64..1.0, byte in any::<u8>()) {
         let Some(unit) = proofs_for_seed(seed).into_iter().next() else { return Ok(()) };
-        let mut bytes = proof_to_bytes(&unit).unwrap();
-        if bytes.is_empty() { return Ok(()) }
-        let pos = ((bytes.len() - 1) as f64 * frac) as usize;
+        let mut bytes = proof_to_bytes_v2(&unit).unwrap();
+        let pos = V2_HEADER + ((bytes.len() - 1 - V2_HEADER) as f64 * frac) as usize;
         bytes[pos] = byte;
+        reseal(&mut bytes);
         if let Ok(mutated) = proof_from_bytes(&bytes) {
             let _ = validate(&mutated); // any Result is fine; panics are not
         }
@@ -141,38 +188,6 @@ proptest! {
         }
     }
 
-    /// Wire format v2 (dictionary-coded string table, deduplicated block
-    /// and assertion tables) is a *lossless* recoding: every generated
-    /// proof decodes back field-for-field identical, re-encodes to the
-    /// same bytes, and keeps its verdict. `proof_from_bytes` sniffs the
-    /// version, so v1 streams keep decoding unchanged.
-    #[test]
-    fn v2_roundtrip_is_the_identity_and_v1_still_sniffs(seed in 0u64..4000) {
-        for unit in proofs_for_seed(seed) {
-            let v2 = proof_to_bytes_v2(&unit).unwrap();
-            let back = proof_from_bytes(&v2).unwrap();
-            prop_assert_eq!(&back.pass, &unit.pass);
-            prop_assert_eq!(&back.src, &unit.src);
-            prop_assert_eq!(&back.tgt, &unit.tgt);
-            prop_assert_eq!(&back.alignment, &unit.alignment);
-            prop_assert_eq!(&back.assertions, &unit.assertions);
-            prop_assert_eq!(&back.infrules, &unit.infrules);
-            prop_assert_eq!(&back.autos, &unit.autos);
-            prop_assert_eq!(&back.not_supported, &unit.not_supported);
-            prop_assert_eq!(proof_to_bytes_v2(&back).unwrap(), v2.clone());
-            match (validate(&unit), validate(&back)) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
-                (Err(_), Err(_)) => {}
-                other => prop_assert!(false, "verdicts diverge: {other:?}"),
-            }
-            // Version sniffing: the v1 encoding of the same proof still
-            // decodes through the same entry point.
-            let v1 = proof_to_bytes(&unit).unwrap();
-            let back1 = proof_from_bytes(&v1).unwrap();
-            prop_assert_eq!(proof_to_bytes(&back1).unwrap(), v1);
-        }
-    }
-
     /// Truncating a v2 proof at any byte boundary is a clean decode
     /// error — the checksum in the container header catches every cut
     /// before the body is interpreted.
@@ -184,25 +199,17 @@ proptest! {
         prop_assert!(proof_from_bytes(&bytes[..cut]).is_err());
     }
 
-    /// Single-bit corruption anywhere in a v2 proof — header, string
-    /// table, or body — never panics; past the 2-byte magic it is always
-    /// a clean error thanks to the whole-stream checksum.
+    /// Single-bit corruption anywhere in a v2 proof — magic, checksum,
+    /// string table, or body — is always a clean error: the magic check
+    /// catches a flip in the first two bytes, the whole-stream checksum
+    /// one anywhere else.
     #[test]
     fn bit_flipped_v2_proof_never_panics(seed in 0u64..400, frac in 0.0f64..1.0, bit in 0u32..8) {
         let Some(unit) = proofs_for_seed(seed).into_iter().next() else { return Ok(()) };
         let mut bytes = proof_to_bytes_v2(&unit).unwrap();
         let pos = ((bytes.len() - 1) as f64 * frac) as usize;
         bytes[pos] ^= 1 << bit;
-        // A flip inside the magic can re-route the stream to the v1
-        // sniffing path, where decoding may (rarely) succeed; any
-        // decoded unit must still be checkable without panicking.
-        if let Ok(mutated) = proof_from_bytes(&bytes) {
-            let _ = validate(&mutated);
-        }
-        if pos >= 2 {
-            // Past the magic the checksum makes corruption a hard error.
-            prop_assert!(proof_from_bytes(&bytes).is_err());
-        }
+        prop_assert!(proof_from_bytes(&bytes).is_err());
     }
 
     /// Erasing a mid-function assertion (keeping the slot, emptying its

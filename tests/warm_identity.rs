@@ -1,8 +1,7 @@
 //! Warm-cache byte-identity, end to end: replaying verdicts from a
 //! populated `--cache-dir` must produce *exactly* the bytes of a cold
-//! uncached run — at every worker count, and whether proof artifacts are
-//! read from the heap or through the mmap reader — both for offline
-//! `crellvm opt` stdout and for served `Accept: text/plain` responses.
+//! uncached run — at every worker count — both for offline `crellvm opt`
+//! stdout and for served `Accept: text/plain` responses.
 
 use crellvm::serve::http::call;
 use std::io::{BufRead, BufReader};
@@ -49,7 +48,7 @@ fn gen_module(dir: &std::path::Path, seed: u64) -> PathBuf {
 }
 
 #[test]
-fn warm_opt_stdout_is_byte_identical_across_jobs_and_mmap() {
+fn warm_opt_stdout_is_byte_identical_across_jobs() {
     let dir = tmpdir("opt");
     let module = gen_module(&dir, 97);
     let module = module.to_str().unwrap();
@@ -57,37 +56,18 @@ fn warm_opt_stdout_is_byte_identical_across_jobs_and_mmap() {
     // The uncached single-worker run is the reference output.
     let reference = run(&["opt", module, "--jobs", "1"]).stdout;
 
-    for mmap in [false, true] {
-        let cache_dir = dir.join(format!("cache_mmap_{mmap}"));
-        let cache = cache_dir.to_str().unwrap();
-        let mut base = vec!["opt", module, "--cache-dir", cache];
-        if mmap {
-            base.push("--mmap");
-        }
+    let cache_dir = dir.join("cache");
+    let base = ["opt", module, "--cache-dir", cache_dir.to_str().unwrap()];
 
-        // Cold run fills the cache; its stdout must already match.
-        let cold = run(&[&base[..], &["--jobs", "2"]].concat()).stdout;
-        assert_eq!(cold, reference, "cold cached run diverges (mmap={mmap})");
+    // Cold run fills the cache; its stdout must already match.
+    let cold = run(&[&base[..], &["--jobs", "2"]].concat()).stdout;
+    assert_eq!(cold, reference, "cold cached run diverges");
 
-        // Warm runs replay every verdict from disk — through the mapping
-        // when --mmap is on — and must not change a byte at any jobs
-        // count, nor when the replaying side has --mmap toggled.
-        for jobs in ["1", "2", "8"] {
-            let warm = run(&[&base[..], &["--jobs", jobs]].concat()).stdout;
-            assert_eq!(
-                warm, reference,
-                "warm stdout diverges at jobs={jobs} mmap={mmap}"
-            );
-        }
-        let other = if mmap {
-            run(&["opt", module, "--cache-dir", cache, "--jobs", "2"]).stdout
-        } else {
-            run(&["opt", module, "--cache-dir", cache, "--jobs", "2", "--mmap"]).stdout
-        };
-        assert_eq!(
-            other, reference,
-            "toggling --mmap over a warm cache diverges"
-        );
+    // Warm runs replay every verdict from disk and must not change a
+    // byte at any jobs count.
+    for jobs in ["1", "2", "8"] {
+        let warm = run(&[&base[..], &["--jobs", jobs]].concat()).stdout;
+        assert_eq!(warm, reference, "warm stdout diverges at jobs={jobs}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -130,38 +110,32 @@ impl Drop for Daemon {
 }
 
 #[test]
-fn warm_served_text_responses_are_byte_identical_with_and_without_mmap() {
+fn warm_served_text_responses_are_byte_identical_to_cold() {
     let dir = tmpdir("serve");
     let module = gen_module(&dir, 98);
     let ir = std::fs::read(&module).unwrap();
     let reference = run(&["opt", module.to_str().unwrap(), "--jobs", "1"]).stdout;
 
-    for mmap in [false, true] {
-        let cache_dir = dir.join(format!("srv_cache_{mmap}"));
-        let cache = cache_dir.to_str().unwrap();
-        let mut args = vec!["--jobs", "2", "--cache-dir", cache];
-        if mmap {
-            args.push("--mmap");
-        }
-        let daemon = Daemon::start(&args);
-        let post = || {
-            let (status, _, body) = call(
-                &daemon.addr,
-                "POST",
-                "/v1/validate",
-                &[("Accept", "text/plain")],
-                &ir,
-            )
-            .unwrap();
-            assert_eq!(status, 200);
-            body
-        };
-        let cold = post();
-        assert_eq!(cold, reference, "cold served bytes diverge (mmap={mmap})");
-        // The replay reads cached verdicts back — via the mapping when
-        // --mmap is on — and must reproduce the cold bytes exactly.
-        let warm = post();
-        assert_eq!(warm, reference, "warm served bytes diverge (mmap={mmap})");
-    }
+    let cache_dir = dir.join("srv_cache");
+    let daemon = Daemon::start(&["--jobs", "2", "--cache-dir", cache_dir.to_str().unwrap()]);
+    let post = || {
+        let (status, _, body) = call(
+            &daemon.addr,
+            "POST",
+            "/v1/validate",
+            &[("Accept", "text/plain")],
+            &ir,
+        )
+        .unwrap();
+        assert_eq!(status, 200);
+        body
+    };
+    let cold = post();
+    assert_eq!(cold, reference, "cold served bytes diverge");
+    // The replay reads cached verdicts back and must reproduce the cold
+    // bytes exactly.
+    let warm = post();
+    assert_eq!(warm, reference, "warm served bytes diverge");
+    drop(daemon);
     std::fs::remove_dir_all(&dir).unwrap();
 }
