@@ -16,13 +16,8 @@
 #![forbid(unsafe_code)]
 
 pub mod experiment;
-pub mod history;
 pub mod sloc;
 pub mod tables;
 
 pub use experiment::{run_corpus_experiment, run_csmith_experiment, CorpusResult, PassRow};
-pub use history::{
-    append as history_append, compare, load as history_load, pretty, write_atomic, CompareConfig,
-    CompareReport, Direction, HistoryRecord, MetricDelta,
-};
 pub use sloc::{measure_sloc, SlocRow};

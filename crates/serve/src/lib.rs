@@ -21,8 +21,6 @@
 //!   end to end from the span log.
 //! * [`top`] — the `crellvm top` fleet view, fed by nothing but a
 //!   `/metrics` scrape.
-//! * [`loadgen`] — the `serve --bench` corpus replayer, feeding
-//!   `BENCH_serve.json` and the regression-sentinel history.
 //!
 //! The serving layer never re-implements validation: requests run
 //! through the exact engine `crellvm opt` uses and verdict lines render
@@ -33,9 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod http;
-pub mod loadgen;
 pub mod server;
 pub mod top;
 
-pub use loadgen::{LoadConfig, LoadReport};
 pub use server::{start, ServeConfig, ServerHandle, DEFAULT_PASSES};

@@ -22,8 +22,8 @@
 //!   campaigns with `ddmin`-minimized, replayable findings.
 //! * [`telemetry`] — metrics registry, span timers, and the structured
 //!   JSON-lines proof-audit trace (zero external dependencies).
-//! * [`bench`] — the experiment driver regenerating the paper's tables,
-//!   plus bench history and the noise-aware regression sentinel.
+//! * [`bench`] — the experiments regenerating the paper's tables and
+//!   figures.
 //! * [`serve`] — validation-as-a-service: the loopback daemon with a
 //!   bounded admission queue, tenant-namespaced verdict cache, and a
 //!   live observability plane (`crellvm serve`, `crellvm top`).

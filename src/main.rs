@@ -18,9 +18,6 @@
 //!     profile table / collapsed-stack flamegraph lines).
 //! crellvm forensics <bundle.forensic.json>
 //!     Inspect and replay a failure forensic bundle.
-//! crellvm bench compare [--history FILE] [--baseline last|FILE]
-//!     Judge the newest bench-history record against the recent window
-//!     with MAD noise bands; exits non-zero on a regression.
 //! crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R]
 //!              [--compiler 3.7.1|5.0.1-pre|none]
 //!              [--tier bytecode|tree|differential] [--out DIR]
@@ -30,14 +27,12 @@
 //!     unless --tier says otherwise); exits non-zero iff a soundness
 //!     alarm (checker accepts, refinement refutes) survives minimization.
 //! crellvm serve [--addr HOST:PORT] [--queue N] [--cache-dir DIR]
-//!               [--access-log FILE] [--span-log FILE] [--bench ...]
+//!               [--access-log FILE] [--span-log FILE]
 //!     Run the validation daemon: POST /v1/validate (IR text, JSON, or
 //!     v2-wire module bodies) with a bounded admission queue (429 +
 //!     Retry-After on overflow), tenant-namespaced verdict cache, live
 //!     /metrics (OpenMetrics), /healthz + /readyz probes, per-request
-//!     trace ids, and structured JSON-lines access/span logs. With
-//!     --bench, replays the synthetic corpus against the daemon at a
-//!     target QPS and writes BENCH_serve.json + a history record.
+//!     trace ids, and structured JSON-lines access/span logs.
 //! crellvm top --addr HOST:PORT [--once] [--interval-ms N]
 //!     A refreshing one-screen fleet view of a running daemon, fed
 //!     entirely by scraping its /metrics endpoint.
@@ -81,7 +76,6 @@
 
 #![forbid(unsafe_code)]
 
-use crellvm::bench::history::{self, CompareConfig};
 use crellvm::diff::diff_modules;
 use crellvm::erhl::{
     proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_json, replay,
@@ -109,7 +103,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(200);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm bench compare [--history FILE] [--baseline last|FILE] [--window N] [--rel-tol F] [--mad-k F]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE] [--bench] [--qps F] [--requests N] [--seed N] [--scale F] [--modules N] [--tenants A,B] [--out FILE] [--history FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
+        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -1026,107 +1020,13 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// The regression sentinel: judge the newest history record against the
-/// preceding window.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let Some((sub, rest)) = args.split_first() else {
-        return Err("bench: need a subcommand (compare)".into());
-    };
-    if sub != "compare" {
-        return Err(format!("bench: unknown subcommand {sub} (compare)"));
-    }
-    let mut history_path = "BENCH_history.jsonl".to_string();
-    let mut baseline = "last".to_string();
-    let mut cfg = CompareConfig::default();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--history" => history_path = it.next().ok_or("--history needs a path")?.clone(),
-            "--baseline" => baseline = it.next().ok_or("--baseline needs last|FILE")?.clone(),
-            "--window" => {
-                cfg.window = it
-                    .next()
-                    .ok_or("--window needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --window count: {e}"))?;
-                if cfg.window == 0 {
-                    return Err("--window must be at least 1".into());
-                }
-            }
-            "--rel-tol" => {
-                cfg.rel_tol = it
-                    .next()
-                    .ok_or("--rel-tol needs a fraction")?
-                    .parse()
-                    .map_err(|e| format!("bad --rel-tol: {e}"))?
-            }
-            "--mad-k" => {
-                cfg.mad_k = it
-                    .next()
-                    .ok_or("--mad-k needs a multiplier")?
-                    .parse()
-                    .map_err(|e| format!("bad --mad-k: {e}"))?
-            }
-            other => return Err(format!("bench compare: unknown flag {other}")),
-        }
-    }
-    let records = history::load(std::path::Path::new(&history_path))
-        .map_err(|e| format!("{history_path}: {e}"))?;
-    // `--baseline last` judges the newest record against everything before
-    // it; `--baseline FILE` judges it against a separate history file
-    // (e.g. one downloaded from the main branch's CI artifact).
-    let (current, baseline_records) = if baseline == "last" {
-        match records.split_last() {
-            Some((current, before)) => (current.clone(), before.to_vec()),
-            None => {
-                println!("bench compare: {history_path} is empty — no baseline yet, passing");
-                return Ok(ExitCode::SUCCESS);
-            }
-        }
-    } else {
-        let Some(current) = records.last() else {
-            println!("bench compare: {history_path} is empty — no baseline yet, passing");
-            return Ok(ExitCode::SUCCESS);
-        };
-        let base = history::load(std::path::Path::new(&baseline))
-            .map_err(|e| format!("{baseline}: {e}"))?;
-        (current.clone(), base)
-    };
-    if baseline_records.is_empty() {
-        println!(
-            "bench compare: no prior runs to compare against (first record in {history_path}), passing"
-        );
-        return Ok(ExitCode::SUCCESS);
-    }
-    let report = history::compare(&current, &baseline_records, &cfg);
-    print!("{}", report.render());
-    println!(
-        "current: {} @ {} ({} cores, {})",
-        current.git_sha, current.timestamp, current.cores, current.wire_format
-    );
-    if report.has_regression() {
-        eprintln!("bench compare: REGRESSION detected (see table above)");
-        Ok(ExitCode::FAILURE)
-    } else {
-        Ok(ExitCode::SUCCESS)
-    }
-}
-
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
-    use crellvm::serve::{loadgen, LoadConfig, ServeConfig};
+    use crellvm::serve::ServeConfig;
     let mut cfg = ServeConfig::default();
-    let mut addr_explicit = false;
-    let mut bench = false;
-    let mut load = LoadConfig::default();
-    let mut out = "BENCH_serve.json".to_string();
-    let mut history_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--addr" => {
-                cfg.addr = it.next().ok_or("--addr needs host:port")?.clone();
-                addr_explicit = true;
-            }
+            "--addr" => cfg.addr = it.next().ok_or("--addr needs host:port")?.clone(),
             "--jobs" => cfg.jobs = parse_jobs(it.next())?,
             "--executors" => {
                 cfg.executors = it
@@ -1153,112 +1053,19 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
             "--span-log" => {
                 cfg.span_log = Some(it.next().ok_or("--span-log needs a path")?.clone())
             }
-            "--bench" => bench = true,
-            "--qps" => {
-                load.qps = it
-                    .next()
-                    .ok_or("--qps needs a rate")?
-                    .parse()
-                    .map_err(|e| format!("bad --qps: {e}"))?
-            }
-            "--requests" => {
-                load.requests = it
-                    .next()
-                    .ok_or("--requests needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --requests: {e}"))?
-            }
-            "--seed" => {
-                load.seed = it
-                    .next()
-                    .ok_or("--seed needs a number")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?
-            }
-            "--scale" => {
-                load.scale = it
-                    .next()
-                    .ok_or("--scale needs functions-per-kloc")?
-                    .parse()
-                    .map_err(|e| format!("bad --scale: {e}"))?
-            }
-            "--modules" => {
-                load.modules = it
-                    .next()
-                    .ok_or("--modules needs a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --modules: {e}"))?
-            }
-            "--tenants" => {
-                load.tenants = it
-                    .next()
-                    .ok_or("--tenants needs a comma-separated list")?
-                    .split(',')
-                    .map(str::to_string)
-                    .filter(|t| !t.is_empty())
-                    .collect()
-            }
-            "--out" => out = it.next().ok_or("--out needs a path")?.clone(),
-            "--history" => history_path = Some(it.next().ok_or("--history needs a path")?.clone()),
             other => return Err(format!("serve: unknown flag {other}")),
         }
-    }
-
-    if bench && addr_explicit {
-        // Benchmark an already-running daemon.
-        let report = loadgen::run(&cfg.addr, &load)?;
-        return finish_serve_bench(&report, &out, history_path.as_deref());
     }
     let handle = crellvm::serve::start(cfg)?;
     println!("listening on http://{}", handle.addr());
     // Tests and scripts scrape the line above to find the port.
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    if bench {
-        let report = loadgen::run(&handle.addr().to_string(), &load)?;
-        let code = finish_serve_bench(&report, &out, history_path.as_deref());
-        handle.shutdown();
-        return code;
-    }
     // The daemon's threads do the work; this one waits, untimed, to be
     // killed (`park` may return spuriously, hence the loop).
     loop {
         std::thread::park();
     }
-}
-
-/// Write the load report, append bench history, print the operator
-/// summary.
-fn finish_serve_bench(
-    report: &crellvm::serve::LoadReport,
-    out: &str,
-    history_path: Option<&str>,
-) -> Result<ExitCode, String> {
-    use crellvm::serve::loadgen;
-    loadgen::write_report(std::path::Path::new(out), report)?;
-    println!(
-        "serve bench: {}/{} ok ({} rejected, {} errors) in {:.1} ms -> {:.1} rps",
-        report.ok, report.requests, report.rejected, report.errors, report.wall_ms, report.rps
-    );
-    println!(
-        "latency: p50 {:.2} ms  p95 {:.2} ms  p99 {:.2} ms  max {:.2} ms",
-        report.latency_ms.p50, report.latency_ms.p95, report.latency_ms.p99, report.latency_ms.max
-    );
-    println!(
-        "cache: {} hits / {} misses ({:.1}% hit rate)",
-        report.cache_hits,
-        report.cache_misses,
-        100.0 * report.cache_hit_rate
-    );
-    println!("wrote {out}");
-    let history = history_path.unwrap_or("BENCH_history.jsonl");
-    let rec = loadgen::append_history(std::path::Path::new(history), report)?;
-    println!("appended {history} ({} metrics)", rec.metrics.len());
-    Ok(if report.errors == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
 }
 
 fn cmd_top(args: &[String]) -> Result<ExitCode, String> {
@@ -1311,7 +1118,6 @@ fn main() -> ExitCode {
         "report" => cmd_report(rest),
         "forensics" => cmd_forensics(rest),
         "fuzz" => cmd_fuzz(rest),
-        "bench" => cmd_bench(rest),
         "serve" => cmd_serve(rest),
         "top" => cmd_top(rest),
         _ => return usage(),

@@ -471,17 +471,31 @@ fn bad_usage_is_reported() {
     assert_eq!(out.status.code(), Some(2));
     let out = run(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
-    // Retired flags and formats are refused by name, not taken for files.
-    for args in [
-        &["opt", "/nonexistent.cll", "--mmap"][..],
-        &["check", "--mmap", "x.cpb"],
-        &["serve", "--mmap"],
+    // Retired flags and formats are refused by name, not taken for files;
+    // `serve` refuses them before it binds a port or prints an address.
+    for (args, flag) in [
+        (&["opt", "/nonexistent.cll", "--mmap"][..], "--mmap"),
+        (&["check", "--mmap", "x.cpb"], "--mmap"),
+        (&["serve", "--mmap"], "--mmap"),
+        (&["serve", "--bench"], "--bench"),
+        (&["serve", "--requests", "3"], "--requests"),
     ] {
         let out = run(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("unknown flag --mmap"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
     }
+    // The retired `bench` subcommand is unknown, and usage no longer
+    // lists it.
+    let out = run(&["bench", "compare"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("usage:"), "{stderr}");
+    assert!(!stderr.contains("crellvm bench"), "{stderr}");
     let out = run(&["opt", "/nonexistent.cll", "--format", "binary-v1"]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");

@@ -119,7 +119,8 @@ fn schedule_scoped_metrics_are_the_only_difference() {
 fn determinism_holds_with_the_default_v2_wire_format() {
     // The default on-the-wire format is binary v2 (dictionary-coded
     // string table); the engine must stay a pure performance knob there
-    // too, and v2 must report strictly smaller proofs than JSON.
+    // too, and v2 must report strictly smaller proofs than JSON. The
+    // byte totals of both formats are pinned exactly.
     let modules = &test_corpus()[..3];
     let (out1, rep1, snap1) = run_with(modules, 1, ProofFormat::default());
     let (out8, rep8, snap8) = run_with(modules, 8, ProofFormat::default());
@@ -135,6 +136,12 @@ fn determinism_holds_with_the_default_v2_wire_format() {
         "v2 ({v2_bytes}) not smaller than JSON ({json_bytes})"
     );
     assert_eq!(rep1.steps.len(), rep8.steps.len());
+    assert_eq!(
+        (rep1.steps.len(), json_bytes, v2_bytes),
+        (36, 310_690, 24_954),
+        "(steps, JSON bytes, v2 bytes) moved: a change that moves them \
+         re-pins them here and says so in CHANGES.md"
+    );
 }
 
 #[test]

@@ -194,85 +194,6 @@ fn top_once_renders_a_fleet_view_from_a_live_daemon() {
 }
 
 #[test]
-fn serve_bench_writes_report_and_history() {
-    let dir = tmpdir("bench");
-    let out_path = dir.join("BENCH_serve.json");
-    let history_path = dir.join("BENCH_history.jsonl");
-    let out = Command::new(bin())
-        .args([
-            "serve",
-            "--bench",
-            "--requests",
-            "4",
-            "--modules",
-            "2",
-            "--scale",
-            "0.0005",
-            "--out",
-            out_path.to_str().unwrap(),
-            "--history",
-            history_path.to_str().unwrap(),
-        ])
-        .env("CRELLVM_GIT_SHA", "testsha")
-        .env("CRELLVM_BENCH_TIMESTAMP", "2026-01-01T00:00:00Z")
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "stdout: {} stderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = std::fs::read_to_string(&out_path).unwrap();
-    for key in ["\"rps\"", "\"p50\"", "\"p95\"", "\"p99\"", "\"cache_hits\""] {
-        assert!(report.contains(key), "missing {key} in {report}");
-    }
-    let history = crellvm::bench::history::load(&history_path).unwrap();
-    assert_eq!(history.len(), 1);
-    assert_eq!(history[0].git_sha, "testsha");
-    assert!(history[0].metrics.contains_key("serve.rps"));
-    assert!(history[0].metrics.contains_key("serve.p99_ms"));
-
-    // The sentinel understands the new metrics (throughput is
-    // higher-is-better): an identical second record passes compare.
-    let out2 = Command::new(bin())
-        .args([
-            "serve",
-            "--bench",
-            "--requests",
-            "4",
-            "--modules",
-            "2",
-            "--scale",
-            "0.0005",
-            "--out",
-            out_path.to_str().unwrap(),
-            "--history",
-            history_path.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out2.status.success());
-    let cmp = Command::new(bin())
-        .args([
-            "bench",
-            "compare",
-            "--history",
-            history_path.to_str().unwrap(),
-            // Loopback micro-latencies jitter hard in CI; the identity
-            // property under test is schema/direction, not noise.
-            "--rel-tol",
-            "1000",
-        ])
-        .output()
-        .unwrap();
-    let cmp_out = String::from_utf8_lossy(&cmp.stdout);
-    assert!(cmp.status.success(), "{cmp_out}");
-    assert!(cmp_out.contains("serve.rps"), "{cmp_out}");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn queue_capacity_zero_turns_requests_away_with_retry_after() {
     let dir = tmpdir("backpressure");
     let module = gen_module(&dir, 3);
