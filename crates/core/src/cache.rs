@@ -7,8 +7,10 @@
 //! a stable 64-bit content key derived from the *inputs* of a validation
 //! unit maps to everything the scheduler needs to skip the unit entirely
 //! — the verdict, the encoded proof (wire format v2, so the transformed
-//! function can be reconstructed), and the unit's deterministic metrics
-//! snapshot (so a warm run merges byte-identical measurement metrics).
+//! function can be reconstructed when something needs it), the digest of
+//! the transformed function (so the next pass's key follows without that
+//! reconstruction), and the unit's deterministic metrics snapshot (so a
+//! warm run merges byte-identical measurement metrics).
 //!
 //! The key deliberately hashes the unit's inputs — function IR bytes,
 //! pass id, pass-config token, checker token, wire-format token — rather
@@ -37,8 +39,8 @@ use std::sync::Mutex;
 pub const CHECKER_VERSION: u32 = 3;
 
 /// Version of the on-disk entry encoding; entries with another version
-/// are treated as misses.
-const ENTRY_VERSION: u32 = 1;
+/// are treated as misses. Version 2 added [`CacheEntry::tgt_digest`].
+const ENTRY_VERSION: u32 = 2;
 
 /// Verdict tag in a [`CacheEntry`]: validated.
 pub const OUTCOME_VALID: u8 = 0;
@@ -63,10 +65,39 @@ impl CacheKey {
         checker_token: u64,
         wire_token: u64,
     ) -> CacheKey {
-        let mut h = fnv64(b"crellvm.unit.v1");
-        h = fnv64_extend(h, &(func_bytes.len() as u64).to_le_bytes());
-        h = fnv64_extend(h, func_bytes);
-        h = fnv64_extend(h, &(pass.len() as u64).to_le_bytes());
+        CacheKey::for_function(
+            CacheKey::function_digest(func_bytes),
+            pass,
+            pass_token,
+            checker_token,
+            wire_token,
+        )
+    }
+
+    /// The function half of a unit key: the domain separator and the
+    /// length-prefixed function bytes. FNV-1a is a running hash, so this is
+    /// the state [`CacheKey::for_function`] continues from; a cache entry
+    /// stores it for its unit's target function, which makes the next
+    /// pass's key computable without that function's bytes.
+    #[must_use]
+    pub fn function_digest(func_bytes: &[u8]) -> u64 {
+        let h = fnv64(b"crellvm.unit.v1");
+        let h = fnv64_extend(h, &(func_bytes.len() as u64).to_le_bytes());
+        fnv64_extend(h, func_bytes)
+    }
+
+    /// Finish a unit key from a [`CacheKey::function_digest`]: the pass
+    /// and the configuration tokens. Equal to [`CacheKey::for_unit`] of
+    /// the digested bytes.
+    #[must_use]
+    pub fn for_function(
+        digest: u64,
+        pass: &str,
+        pass_token: u64,
+        checker_token: u64,
+        wire_token: u64,
+    ) -> CacheKey {
+        let mut h = fnv64_extend(digest, &(pass.len() as u64).to_le_bytes());
         h = fnv64_extend(h, pass.as_bytes());
         h = fnv64_extend(h, &pass_token.to_le_bytes());
         h = fnv64_extend(h, &checker_token.to_le_bytes());
@@ -121,6 +152,10 @@ pub struct CacheEntry {
     /// The proof in wire format v2 — carries the transformed function.
     /// Empty for checker-side entries, which already hold the proof.
     pub proof: Vec<u8>,
+    /// [`CacheKey::function_digest`] of the transformed function (the
+    /// proof's target): the next pass's key starts from it, so a hit need
+    /// not decode `proof`. Zero for checker-side entries.
+    pub tgt_digest: u64,
     /// The wire size the cold run reported for its configured format
     /// (kept verbatim so warm step records match cold ones).
     pub proof_bytes: u64,
@@ -139,6 +174,7 @@ impl CacheEntry {
             outcome,
             reason,
             proof: Vec::new(),
+            tgt_digest: 0,
             proof_bytes: 0,
             metrics_json: String::new(),
         }

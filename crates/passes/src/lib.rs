@@ -71,9 +71,7 @@ pub use gvn::{gvn, gvn_traced};
 pub use instcombine::{instcombine, instcombine_traced};
 pub use licm::{licm, licm_traced};
 pub use mem2reg::{mem2reg, mem2reg_traced};
-pub use parallel::{
-    default_jobs, run_pipeline_parallel, run_validated_pass_parallel, ParallelOptions,
-};
+pub use parallel::{default_jobs, run_pipeline_parallel, ParallelOptions, ValidationRun};
 pub use pipeline::{
     format_step_line, run_pipeline, run_pipeline_traced, CodecScratch, PipelineReport, ProofFormat,
     SpanItem, StepOutcome, StepRecord,

@@ -18,14 +18,17 @@
 //!   [`ValidationCache`], and, when tracing, the append-only trace sink.
 //! * **Incremental validation.** With [`ParallelOptions::cache`] set, the
 //!   scheduler consults a content-addressed [`ValidationCache`] before
-//!   dispatching a unit: a hit replays the stored verdict, proof, and the
-//!   unit's deterministic metrics snapshot instead of running
-//!   PCal / I-O / PCheck. Misses run with a per-item registry so the
-//!   unit's metric delta can be captured into the new cache entry —
+//!   dispatching a unit: a hit replays the stored verdict and the unit's
+//!   deterministic metrics snapshot instead of running
+//!   PCal / I-O / PCheck, and decodes nothing. A [`ValidationRun`] carries
+//!   the function on to the next pass as the hit's entry, whose stored
+//!   target digest keys that pass; the body is decoded from the entry
+//!   only when something needs it. Misses run with a per-item registry so
+//!   the unit's metric delta can be captured into the new cache entry —
 //!   which is what makes a warm run's `Snapshot::deterministic` view
-//!   byte-identical to a cold one. Only `cache.hits` / `cache.misses` /
-//!   `cache.evictions` (schedule- and history-scoped, excluded from the
-//!   deterministic view) differ.
+//!   byte-identical to a cold one. Only the `cache.*` counters (hits,
+//!   misses, evictions, materializations: schedule- and history-scoped,
+//!   excluded from the deterministic view) differ.
 //! * **Deterministic merging.** Results are scattered back by function
 //!   index, so [`PipelineReport`] step order is the module's function
 //!   order at any thread count. Worker registries are merged in worker
@@ -37,7 +40,7 @@
 //!
 //! [`Snapshot::deterministic`]: crellvm_telemetry::Snapshot::deterministic
 
-use crate::config::{PassConfig, PassOutcome};
+use crate::config::PassConfig;
 use crate::pipeline::{
     CodecScratch, PipelineReport, ProofFormat, SpanItem, StepOutcome, StepRecord, PASS_ORDER,
 };
@@ -50,6 +53,7 @@ use crellvm_ir::{Function, Module};
 use crellvm_telemetry::forensics::ForensicBundle;
 use crellvm_telemetry::json::Value;
 use crellvm_telemetry::{Progress, Registry, Snapshot, SpanCollector, SpanNode, Telemetry};
+use std::borrow::Cow;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -136,12 +140,32 @@ fn run_pass_function(name: &str, f: &Function, config: &PassConfig, tel: &Teleme
     }
 }
 
-/// Everything one work item produces: the proof unit (still holding the
-/// transformed function body), the step record, the four Fig 6/8 time
-/// columns, and — when enabled — the item's causal span subtree and the
-/// forensic bundle of a failed check.
+/// One function as a [`ValidationRun`] carries it from pass to pass.
+// A run holds one short vector of slots per pass; boxing the unit would
+// add an allocation per validated unit to save that vector's space.
+#[allow(clippy::large_enum_variant)]
+enum Slot {
+    /// The run's input function: no pass has run on it yet.
+    Input,
+    /// The unit of the pass that last ran on the function: `unit.tgt` is
+    /// the body, and with a cache on, `tgt_digest` its
+    /// [`CacheKey::function_digest`].
+    Ran {
+        unit: ProofUnit,
+        tgt_digest: Option<u64>,
+    },
+    /// The last pass hit the cache: the body stays encoded in the entry's
+    /// proof until something needs it, and the entry's target digest keys
+    /// the next pass.
+    Hit { proof: Vec<u8>, tgt_digest: u64 },
+}
+
+/// Everything one work item produces: how the function moves on to the
+/// next pass, the step record, the four Fig 6/8 time columns, and — when
+/// enabled — the item's causal span subtree and the forensic bundle of a
+/// failed check.
 struct ItemResult {
-    unit: ProofUnit,
+    slot: Slot,
     record: StepRecord,
     orig: Duration,
     pcal: Duration,
@@ -275,7 +299,10 @@ fn process_item(
         proof_bytes: wire_len,
     };
     ItemResult {
-        unit,
+        slot: Slot::Ran {
+            unit,
+            tgt_digest: None,
+        },
         record,
         orig,
         pcal,
@@ -306,30 +333,42 @@ fn entry_to_outcome(entry: &CacheEntry) -> Option<StepOutcome> {
     }
 }
 
-/// Replay a cache hit: decode the stored proof (it carries the
-/// transformed function), restore the verdict, and fold the unit's stored
+/// [`CacheKey::function_digest`] of a function's key bytes.
+fn digest_of(f: &Function) -> u64 {
+    CacheKey::function_digest(&serialize_bin::to_bytes(f).expect("function serializes"))
+}
+
+/// Replay a cache hit: restore the verdict and fold the unit's stored
 /// deterministic metric delta into the worker registry — which is what
 /// makes a warm run's `Snapshot::deterministic` view byte-identical to a
-/// cold one's. Returns `None` when the entry does not decode (corruption,
-/// version skew), in which case the caller falls through to a miss.
-fn replay_cache_hit(pass: &str, entry: &CacheEntry, tel: &Telemetry) -> Option<ItemResult> {
+/// cold one's. Nothing is decoded: the function moves on as the entry's
+/// proof and target digest. Returns `None` when the verdict or the
+/// metrics do not parse (version skew), in which case the caller falls
+/// through to a miss.
+fn replay_cache_hit(
+    pass: &str,
+    func: &str,
+    entry: CacheEntry,
+    tel: &Telemetry,
+) -> Option<ItemResult> {
     let t = Instant::now();
-    let unit = proof_from_bytes(&entry.proof).ok()?;
-    let outcome = entry_to_outcome(entry)?;
+    let outcome = entry_to_outcome(&entry)?;
     let stored = Snapshot::from_json(&entry.metrics_json).ok()?;
     tel.count("cache.hits", 1);
     tel.registry().merge_snapshot(&stored);
     let io = t.elapsed();
     tel.registry().record_duration("time.io", io);
-    tel.registry().record_duration("time.io.decode", io);
     let record = StepRecord {
         pass: pass.to_string(),
-        func: unit.src.name.clone(),
+        func: func.to_string(),
         outcome,
         proof_bytes: entry.proof_bytes as usize,
     };
     Some(ItemResult {
-        unit,
+        slot: Slot::Hit {
+            proof: entry.proof,
+            tgt_digest: entry.tgt_digest,
+        },
         record,
         orig: Duration::ZERO,
         pcal: Duration::ZERO,
@@ -340,207 +379,364 @@ fn replay_cache_hit(pass: &str, entry: &CacheEntry, tel: &Telemetry) -> Option<I
     })
 }
 
-/// [`process_item`] behind the content-addressed validation cache.
+/// A validation run over one module, one pass at a time: the engine behind
+/// `crellvm opt`, the serving daemon and [`run_pipeline_parallel`].
 ///
-/// The key folds everything the verdict depends on: the function's exact
-/// bytes, the pass, the pass configuration, the checker configuration and
-/// version, and the wire format (so cached byte counts match the run's
-/// format). A hit replays the stored verdict, proof, and deterministic
-/// metric delta; a miss runs the unit against a fresh per-item registry so
-/// that delta can be captured verbatim into the new entry, then folds it
-/// into the worker registry — a cold cached run records exactly what an
-/// uncached run does.
-#[allow(clippy::too_many_arguments)]
-fn process_item_cached(
-    pass: &str,
-    f: &Function,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    opts: &ParallelOptions,
-    tel: &Telemetry,
-    scratch: &mut CodecScratch,
-    cache: &ValidationCache,
-) -> ItemResult {
-    let func_bytes = serialize_bin::to_bytes(f).expect("function serializes");
-    let key = CacheKey::for_unit(
-        &func_bytes,
-        pass,
-        config.cache_token(),
-        checker.cache_token(),
-        opts.format.wire_token(),
-    )
-    .namespaced(&opts.cache_namespace);
-    if let Some(entry) = cache.get(key) {
-        if let Some(result) = replay_cache_hit(pass, &entry, tel) {
-            if let Some(p) = &opts.progress {
-                p.add_cache_hit();
-            }
-            return result;
-        }
-    }
-    tel.count("cache.misses", 1);
-    if let Some(p) = &opts.progress {
-        p.add_cache_miss();
-    }
-    let item_registry = Arc::new(Registry::new());
-    let mut itel = Telemetry::with_registry(Arc::clone(&item_registry));
-    if let Some(trace) = tel.trace_handle() {
-        itel = itel.with_trace(trace);
-    }
-    let result = process_item(pass, f, config, checker, opts, &itel, scratch);
-    let snapshot = item_registry.snapshot();
-    tel.registry().merge_snapshot(&snapshot);
-    let (tag, reason) = outcome_to_entry(&result.record.outcome);
-    let mut entry = CacheEntry::new(tag, reason);
-    entry.proof = match opts.format {
-        // The I/O phase left this unit's v2 bytes in the scratch buffer.
-        ProofFormat::Binary => scratch.buf.clone(),
-        ProofFormat::Json => proof_to_bytes_v2(&result.unit).unwrap_or_default(),
-    };
-    entry.proof_bytes = result.record.proof_bytes as u64;
-    entry.metrics_json = snapshot.deterministic().to_json();
-    if cache.insert(key, entry) {
-        tel.count("cache.evictions", 1);
-    }
-    result
+/// [`ValidationRun::run_pass`] validates every function under one pass,
+/// fanned out over `opts.jobs` workers, and carries each function on to
+/// the next pass as either its body or, after a cache hit, the hit's
+/// entry. The key of the next pass starts from the entry's target digest,
+/// so a function that stays warm is never decoded. A body is decoded from
+/// its entry ("materialized", counted as `cache.materialized`) only when
+/// something needs it: a later pass that misses,
+/// [`ValidationRun::proof`], or [`ValidationRun::into_module`].
+///
+/// Pass by pass, equivalent to `pipeline::run_validated_pass_traced` in
+/// every deterministic observable: same transformed functions, same step
+/// records in function order, same measurement counters and histograms.
+/// Per-worker registries are merged into `tel`'s registry after each
+/// pass's pool joins.
+pub struct ValidationRun<'a> {
+    input: &'a Module,
+    config: &'a PassConfig,
+    checker: &'a CheckerConfig,
+    opts: &'a ParallelOptions,
+    tel: &'a Telemetry,
+    /// `opts.cache`, unless spans or forensics keep it aside.
+    cache: Option<&'a ValidationCache>,
+    /// The passes run so far, in order.
+    passes: Vec<String>,
+    /// One slot per input function, in module order.
+    slots: Vec<Slot>,
 }
 
-/// Run one pass over a module with full validation instrumentation,
-/// fanning the per-function work across `opts.jobs` workers.
-///
-/// Equivalent to `pipeline::run_validated_pass_traced` in every
-/// deterministic observable: same transformed module, same step records in
-/// function order, same measurement counters and histograms. Per-worker
-/// registries are merged into `tel`'s registry after the pool joins.
-pub fn run_validated_pass_parallel(
-    name: &str,
-    m: &Module,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    opts: &ParallelOptions,
-    tel: &Telemetry,
-    report: &mut PipelineReport,
-) -> PassOutcome {
-    let n = m.functions.len();
-    let workers = opts.jobs.max(1).min(n.max(1));
-
-    // Live pool gauges for an external observer (the serving daemon's
-    // /metrics): fan-out width while the pass runs and inflight units per
-    // item. Recorded into the shared gauge registry only — never into the
-    // per-worker measurement registries — so the deterministic view is
-    // untouched.
-    if let Some(g) = &opts.pool_gauges {
-        g.gauge_set("pool.workers", workers as i64);
+impl<'a> ValidationRun<'a> {
+    /// A run over `input` that has not run any pass yet.
+    pub fn new(
+        input: &'a Module,
+        config: &'a PassConfig,
+        checker: &'a CheckerConfig,
+        opts: &'a ParallelOptions,
+        tel: &'a Telemetry,
+    ) -> ValidationRun<'a> {
+        // Spans and forensics need the unit to actually run (they capture
+        // its live execution), so the cache stands aside while either is
+        // on.
+        let cache = opts
+            .cache
+            .as_deref()
+            .filter(|_| !opts.spans && !opts.forensics);
+        if cache.is_some() {
+            // Present even at zero: a warm run shows it decoded nothing.
+            tel.count("cache.materialized", 0);
+        }
+        ValidationRun {
+            input,
+            config,
+            checker,
+            opts,
+            tel,
+            cache,
+            passes: Vec::new(),
+            slots: input.functions.iter().map(|_| Slot::Input).collect(),
+        }
     }
 
-    // Spans and forensics need the unit to actually run (they capture its
-    // live execution), so the cache stands aside while either is on.
-    let cache = opts
-        .cache
-        .as_deref()
-        .filter(|_| !opts.spans && !opts.forensics);
+    /// Run one pass over every function with full validation
+    /// instrumentation, appending the step records (in function order,
+    /// at any worker count) and time columns to `report`.
+    pub fn run_pass(&mut self, pass: &str, report: &mut PipelineReport) {
+        let n = self.input.functions.len();
+        let workers = self.opts.jobs.max(1).min(n.max(1));
 
-    // Fan out over the shared work-stealing pool (see `crate::schedule`):
-    // functions are dealt by interleaved statement-count rank, each worker
-    // records into its own registry and reuses its own codec scratch, and
-    // results come back scattered by function index. The calling thread is
-    // worker 0, so at one worker every item runs inline on it.
-    struct WorkerState {
-        registry: Arc<Registry>,
-        wtel: Telemetry,
-        scratch: CodecScratch,
+        // Live pool gauges for an external observer (the serving daemon's
+        // /metrics): fan-out width while the pass runs and inflight units
+        // per item. Recorded into the shared gauge registry only — never
+        // into the per-worker measurement registries — so the
+        // deterministic view is untouched.
+        if let Some(g) = &self.opts.pool_gauges {
+            g.gauge_set("pool.workers", workers as i64);
+        }
+
+        // Fan out over the shared work-stealing pool (see
+        // `crate::schedule`): functions are dealt by interleaved
+        // statement-count rank, each worker records into its own registry
+        // and reuses its own codec scratch, and results come back
+        // scattered by function index. The calling thread is worker 0, so
+        // at one worker every item runs inline on it.
+        struct WorkerState {
+            registry: Arc<Registry>,
+            wtel: Telemetry,
+            scratch: CodecScratch,
+        }
+        let prev = std::mem::take(&mut self.slots);
+        let run = &*self;
+        let pool = crate::schedule::run_work_stealing(
+            n,
+            workers,
+            |i| match &prev[i] {
+                Slot::Ran { unit, .. } => unit.tgt.stmt_count(),
+                Slot::Input | Slot::Hit { .. } => run.input.functions[i].stmt_count(),
+            },
+            |_w| {
+                let registry = Arc::new(Registry::new());
+                let mut wtel = Telemetry::with_registry(Arc::clone(&registry));
+                if let Some(trace) = run.tel.trace_handle() {
+                    wtel = wtel.with_trace(trace);
+                }
+                WorkerState {
+                    registry,
+                    wtel,
+                    scratch: CodecScratch::default(),
+                }
+            },
+            |_w, state, i| {
+                if let Some(g) = &run.opts.pool_gauges {
+                    g.gauge_add("pool.inflight", 1);
+                }
+                let result = run.process_slot(pass, i, &prev[i], &state.wtel, &mut state.scratch);
+                if let Some(g) = &run.opts.pool_gauges {
+                    g.gauge_sub("pool.inflight", 1);
+                }
+                if let Some(p) = &run.opts.progress {
+                    p.add_done(1);
+                }
+                result
+            },
+            |w, state, steals| {
+                // Recorded even at zero so the counter exists for every
+                // worker in the report.
+                state.registry.add(&format!("validate.steal.w{w}"), steals);
+                state.registry.snapshot()
+            },
+        );
+
+        // Merge per-worker registries in worker order (every metric is an
+        // order-independent sum; the fixed order keeps even timer totals
+        // reproducible given identical durations).
+        for snapshot in &pool.worker_summaries {
+            self.tel.registry().merge_snapshot(snapshot);
+        }
+
+        // Scatter back in function order: a deterministic report
+        // regardless of which worker ran what.
+        let mut slots = Vec::with_capacity(n);
+        for (f, result) in self.input.functions.iter().zip(pool.results) {
+            report.time_orig += result.orig;
+            report.time_pcal += result.pcal;
+            report.time_io += result.io;
+            report.time_pcheck += result.pcheck;
+            if let Some(root) = result.span {
+                report.span_items.push(SpanItem {
+                    pass: pass.to_string(),
+                    func: f.name.clone(),
+                    root,
+                });
+            }
+            if let Some(bundle) = result.bundle {
+                report.bundles.push(bundle);
+            }
+            report.steps.push(result.record);
+            slots.push(result.slot);
+        }
+        self.slots = slots;
+        self.passes.push(pass.to_string());
     }
-    let pool = crate::schedule::run_work_stealing(
-        n,
-        workers,
-        |i| m.functions[i].stmt_count(),
-        |_w| {
-            let registry = Arc::new(Registry::new());
-            let mut wtel = Telemetry::with_registry(Arc::clone(&registry));
-            if let Some(trace) = tel.trace_handle() {
-                wtel = wtel.with_trace(trace);
-            }
-            WorkerState {
-                registry,
-                wtel,
-                scratch: CodecScratch::default(),
-            }
-        },
-        |_w, state, i| {
-            let f = &m.functions[i];
-            if let Some(g) = &opts.pool_gauges {
-                g.gauge_add("pool.inflight", 1);
-            }
-            let result = match cache {
-                Some(cache) => process_item_cached(
-                    name,
-                    f,
-                    config,
-                    checker,
-                    opts,
-                    &state.wtel,
-                    &mut state.scratch,
-                    cache,
-                ),
-                None => process_item(
-                    name,
-                    f,
-                    config,
-                    checker,
-                    opts,
-                    &state.wtel,
-                    &mut state.scratch,
-                ),
+
+    /// Validate function `i` under `pass`, given the slot the previous
+    /// pass left. With a cache on, the key starts from the function's
+    /// digest, which only an input function needs encoding for; a hit
+    /// replays its entry without decoding anything, and a miss decodes the
+    /// body a previous hit left encoded.
+    fn process_slot(
+        &self,
+        pass: &str,
+        i: usize,
+        prev: &Slot,
+        tel: &Telemetry,
+        scratch: &mut CodecScratch,
+    ) -> ItemResult {
+        let input = &self.input.functions[i];
+        let lookup = self.cache.map(|cache| {
+            let digest = match prev {
+                Slot::Input => digest_of(input),
+                Slot::Ran { unit, tgt_digest } => {
+                    tgt_digest.unwrap_or_else(|| digest_of(&unit.tgt))
+                }
+                Slot::Hit { tgt_digest, .. } => *tgt_digest,
             };
-            if let Some(g) = &opts.pool_gauges {
-                g.gauge_sub("pool.inflight", 1);
+            let key = CacheKey::for_function(
+                digest,
+                pass,
+                self.config.cache_token(),
+                self.checker.cache_token(),
+                self.opts.format.wire_token(),
+            )
+            .namespaced(&self.opts.cache_namespace);
+            (cache, key)
+        });
+        if let Some((cache, key)) = lookup {
+            let hit = cache
+                .get(key)
+                .and_then(|entry| replay_cache_hit(pass, &input.name, entry, tel));
+            if let Some(hit) = hit {
+                if let Some(p) = &self.opts.progress {
+                    p.add_cache_hit();
+                }
+                return hit;
             }
-            if let Some(p) = &opts.progress {
-                p.add_done(1);
+            tel.count("cache.misses", 1);
+            if let Some(p) = &self.opts.progress {
+                p.add_cache_miss();
             }
-            result
-        },
-        |w, state, steals| {
-            // Recorded even at zero so the counter exists for every
-            // worker in the report.
-            state.registry.add(&format!("validate.steal.w{w}"), steals);
-            state.registry.snapshot()
-        },
-    );
-
-    // Merge per-worker registries in worker order (every metric is an
-    // order-independent sum; the fixed order keeps even timer totals
-    // reproducible given identical durations).
-    for snapshot in &pool.worker_summaries {
-        tel.registry().merge_snapshot(snapshot);
+        }
+        let decoded;
+        let f = match prev {
+            Slot::Input => input,
+            Slot::Ran { unit, .. } => &unit.tgt,
+            Slot::Hit { proof, .. } => {
+                decoded = self.materialize(i, proof, tel);
+                &decoded.tgt
+            }
+        };
+        match lookup {
+            Some((cache, key)) => self.process_miss(pass, f, tel, scratch, cache, key),
+            None => process_item(pass, f, self.config, self.checker, self.opts, tel, scratch),
+        }
     }
 
-    // Reassemble in function order: deterministic report and module
-    // regardless of which worker ran what.
-    let mut out = m.clone();
-    let mut proofs = Vec::with_capacity(n);
-    for (f, result) in m.functions.iter().zip(pool.results) {
-        *out.function_mut(&f.name).expect("function exists") = result.unit.tgt.clone();
-        report.time_orig += result.orig;
-        report.time_pcal += result.pcal;
-        report.time_io += result.io;
-        report.time_pcheck += result.pcheck;
-        if let Some(root) = result.span {
-            report.span_items.push(SpanItem {
-                pass: name.to_string(),
-                func: f.name.clone(),
-                root,
-            });
+    /// [`process_item`] for a unit the cache missed: it runs against a
+    /// fresh per-item registry so the unit's deterministic metric delta
+    /// can be captured verbatim into the new entry, then folds that delta
+    /// into the worker registry — a cold cached run records exactly what
+    /// an uncached run does. The entry also records the digest of the
+    /// unit's target function, which the next pass's key starts from.
+    fn process_miss(
+        &self,
+        pass: &str,
+        f: &Function,
+        tel: &Telemetry,
+        scratch: &mut CodecScratch,
+        cache: &ValidationCache,
+        key: CacheKey,
+    ) -> ItemResult {
+        let item_registry = Arc::new(Registry::new());
+        let mut itel = Telemetry::with_registry(Arc::clone(&item_registry));
+        if let Some(trace) = tel.trace_handle() {
+            itel = itel.with_trace(trace);
         }
-        if let Some(bundle) = result.bundle {
-            report.bundles.push(bundle);
+        let mut result = process_item(
+            pass,
+            f,
+            self.config,
+            self.checker,
+            self.opts,
+            &itel,
+            scratch,
+        );
+        let snapshot = item_registry.snapshot();
+        tel.registry().merge_snapshot(&snapshot);
+        let Slot::Ran { unit, tgt_digest } = &mut result.slot else {
+            unreachable!("process_item always runs the unit")
+        };
+        let (tag, reason) = outcome_to_entry(&result.record.outcome);
+        let mut entry = CacheEntry::new(tag, reason);
+        entry.proof = match self.opts.format {
+            // The I/O phase left this unit's v2 bytes in the scratch buffer.
+            ProofFormat::Binary => scratch.buf.clone(),
+            ProofFormat::Json => proof_to_bytes_v2(unit).unwrap_or_default(),
+        };
+        entry.tgt_digest = digest_of(&unit.tgt);
+        *tgt_digest = Some(entry.tgt_digest);
+        entry.proof_bytes = result.record.proof_bytes as u64;
+        entry.metrics_json = snapshot.deterministic().to_json();
+        if cache.insert(key, entry) {
+            tel.count("cache.evictions", 1);
         }
-        report.steps.push(result.record);
-        proofs.push(result.unit);
+        result
     }
-    PassOutcome {
-        module: out,
-        proofs,
+
+    /// Decode the unit a hit left encoded for function `i` (the last pass
+    /// run on it), booking `cache.materialized` and `time.io.decode`.
+    ///
+    /// The cache container and its checksum already passed, so a proof
+    /// that still does not decode is a hostile or version-skewed entry.
+    /// Like any bad entry it must not be an error: the unit is re-derived
+    /// from the run's own input instead, by running the passes so far
+    /// with no cache (and no telemetry — their metrics were merged from
+    /// the entries).
+    fn materialize(&self, i: usize, proof: &[u8], tel: &Telemetry) -> ProofUnit {
+        let t = Instant::now();
+        if let Ok(unit) = proof_from_bytes(proof) {
+            tel.count("cache.materialized", 1);
+            let decode = t.elapsed();
+            tel.registry().record_duration("time.io", decode);
+            tel.registry().record_duration("time.io.decode", decode);
+            return unit;
+        }
+        let quiet = Telemetry::disabled();
+        let mut passes = self.passes.iter();
+        let first = passes.next().expect("a hit follows a pass");
+        let mut unit = run_pass_function(first, &self.input.functions[i], self.config, &quiet);
+        for pass in passes {
+            unit = run_pass_function(pass, &unit.tgt, self.config, &quiet);
+        }
+        unit
+    }
+
+    /// The proof unit of function `i` under the last pass run, decoded
+    /// (and its body kept) if that pass hit the cache.
+    ///
+    /// # Panics
+    ///
+    /// If no pass has run yet.
+    pub fn proof(&mut self, i: usize) -> &ProofUnit {
+        if let Slot::Hit { proof, tgt_digest } = &self.slots[i] {
+            let tgt_digest = Some(*tgt_digest);
+            let unit = self.materialize(i, proof, self.tel);
+            self.slots[i] = Slot::Ran { unit, tgt_digest };
+        }
+        match &self.slots[i] {
+            Slot::Ran { unit, .. } => unit,
+            _ => panic!("no pass has run"),
+        }
+    }
+
+    /// The proof of function `i` under the last pass run, in wire format
+    /// v2: a hit's entry bytes as stored, any other unit encoded afresh.
+    ///
+    /// # Errors
+    ///
+    /// Effectively unreachable (see `proof_to_bytes_v2`).
+    ///
+    /// # Panics
+    ///
+    /// If no pass has run yet.
+    pub fn proof_bytes_v2(&self, i: usize) -> Result<Cow<'_, [u8]>, serialize_bin::Error> {
+        match &self.slots[i] {
+            Slot::Hit { proof, .. } => Ok(Cow::Borrowed(proof)),
+            Slot::Ran { unit, .. } => proof_to_bytes_v2(unit).map(Cow::Owned),
+            Slot::Input => panic!("no pass has run"),
+        }
+    }
+
+    /// The transformed module after the passes run so far, decoding every
+    /// body a hit left encoded.
+    pub fn into_module(mut self) -> Module {
+        let functions = std::mem::take(&mut self.slots)
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| match slot {
+                Slot::Input => self.input.functions[i].clone(),
+                Slot::Ran { unit, .. } => unit.tgt,
+                Slot::Hit { proof, .. } => self.materialize(i, &proof, self.tel).tgt,
+            })
+            .collect();
+        Module {
+            globals: self.input.globals.clone(),
+            declares: self.input.declares.clone(),
+            functions,
+        }
     }
 }
 
@@ -557,12 +753,11 @@ pub fn run_pipeline_parallel(
     tel.count("pipeline.jobs", opts.jobs.max(1) as u64);
     let mut report = PipelineReport::default();
     let checker = CheckerConfig::sound();
-    let mut cur = m.clone();
+    let mut run = ValidationRun::new(m, config, &checker, opts, tel);
     for pass in PASS_ORDER {
-        cur = run_validated_pass_parallel(pass, &cur, config, &checker, opts, tel, &mut report)
-            .module;
+        run.run_pass(pass, &mut report);
     }
-    (cur, report)
+    (run.into_module(), report)
 }
 
 #[cfg(test)]
@@ -688,6 +883,7 @@ mod tests {
         let m = parse_module(PROGRAM).unwrap();
         let config = PassConfig::default();
         let checker = CheckerConfig::sound();
+        let key_bytes = |f: &Function| serialize_bin::to_bytes(f).unwrap();
         for format in [ProofFormat::Binary, ProofFormat::Json] {
             let cache = Arc::new(ValidationCache::new());
             let opts = ParallelOptions {
@@ -696,59 +892,63 @@ mod tests {
                 cache: Some(Arc::clone(&cache)),
                 ..ParallelOptions::default()
             };
-            // Every pass's input module and proofs, the step records, and
-            // the run's counters.
-            let run = || {
+            // Every step's v2 proof bytes (what a `.cpb` dump writes), on
+            // request every step's decoded unit, the step records, and the
+            // run's counters.
+            let run = |decode: bool| {
                 let tel = Telemetry::disabled();
                 let mut report = PipelineReport::default();
-                let mut passes = Vec::new();
-                let mut cur = m.clone();
+                let mut run = ValidationRun::new(&m, &config, &checker, &opts, &tel);
+                let (mut dumps, mut units) = (Vec::new(), Vec::new());
                 for pass in PASS_ORDER {
-                    let out = run_validated_pass_parallel(
-                        pass,
-                        &cur,
-                        &config,
-                        &checker,
-                        &opts,
-                        &tel,
-                        &mut report,
-                    );
-                    passes.push((pass, std::mem::replace(&mut cur, out.module), out.proofs));
+                    run.run_pass(pass, &mut report);
+                    for i in 0..m.functions.len() {
+                        dumps.push(run.proof_bytes_v2(i).unwrap().into_owned());
+                        if decode {
+                            units.push((pass, run.proof(i).clone()));
+                        }
+                    }
                 }
                 let steps: Vec<_> = report
                     .steps
                     .into_iter()
                     .map(|s| (s.pass, s.func, s.outcome, s.proof_bytes))
                     .collect();
-                (passes, steps, tel.registry().snapshot().counters)
+                (dumps, units, steps, tel.registry().snapshot().counters)
             };
 
-            let (passes, cold_steps, cold) = run();
-            let units = cold_steps.len() as u64;
-            assert_eq!(cold.get("cache.misses"), Some(&units), "{format:?}");
-            for (pass, input, proofs) in &passes {
-                for (f, unit) in input.functions.iter().zip(proofs) {
-                    let key = CacheKey::for_unit(
-                        &serialize_bin::to_bytes(f).unwrap(),
-                        pass,
-                        config.cache_token(),
-                        checker.cache_token(),
-                        format.wire_token(),
-                    );
-                    let entry = cache.get(key).expect("a miss stores its entry");
-                    assert_eq!(
-                        entry.proof,
-                        proof_to_bytes_v2(unit).unwrap(),
-                        "{format:?} {pass} @{}",
-                        f.name
-                    );
-                }
+            let (cold_dumps, units, cold_steps, cold) = run(true);
+            let n = cold_steps.len() as u64;
+            assert_eq!(cold.get("cache.misses"), Some(&n), "{format:?}");
+            assert_eq!(cold.get("cache.materialized"), Some(&0), "{format:?}");
+            for ((pass, unit), dump) in units.iter().zip(&cold_dumps) {
+                let key = CacheKey::for_unit(
+                    &key_bytes(&unit.src),
+                    pass,
+                    config.cache_token(),
+                    checker.cache_token(),
+                    format.wire_token(),
+                );
+                let entry = cache.get(key).expect("a miss stores its entry");
+                let v2 = proof_to_bytes_v2(unit).unwrap();
+                let at = format!("{format:?} {pass} @{}", unit.src.name);
+                assert_eq!(entry.proof, v2, "{at}");
+                assert_eq!(*dump, v2, "{at}");
+                assert_eq!(
+                    entry.tgt_digest,
+                    CacheKey::function_digest(&key_bytes(&unit.tgt)),
+                    "{at}"
+                );
             }
 
-            let (_, warm_steps, warm) = run();
-            assert_eq!(warm.get("cache.hits"), Some(&units), "{format:?}");
+            // A warm run dumps the entries' bytes as stored: the same
+            // bytes, with nothing decoded.
+            let (warm_dumps, _, warm_steps, warm) = run(false);
+            assert_eq!(warm.get("cache.hits"), Some(&n), "{format:?}");
             assert_eq!(warm.get("cache.misses"), None, "{format:?}");
+            assert_eq!(warm.get("cache.materialized"), Some(&0), "{format:?}");
             assert_eq!(cold_steps, warm_steps, "{format:?}");
+            assert_eq!(cold_dumps, warm_dumps, "{format:?}");
         }
     }
 

@@ -1,13 +1,13 @@
 //! A deliberately small HTTP/1.1 implementation over `std::net`.
 //!
 //! The daemon serves exactly one well-known client population — loopback
-//! tools (`crellvm top`, the load generator, CI smoke jobs, `curl`) — so
-//! the surface is the minimum that population needs: one request per
-//! connection (`Connection: close`), `Content-Length` framing (no chunked
-//! transfer), a case-insensitive header map, and nothing else. Keeping
-//! the parser this small keeps it auditable: the serving plane sits
-//! *outside* the validated core, and the less code between the socket and
-//! the checker, the less there is to trust.
+//! tools (`crellvm top`, CI smoke jobs, `curl`) — so the surface is the
+//! minimum that population needs: one request per connection
+//! (`Connection: close`), `Content-Length` framing (no chunked transfer),
+//! a case-insensitive header map, and nothing else. Keeping the parser
+//! this small keeps it auditable: the serving plane sits *outside* the
+//! validated core, and the less code between the socket and the checker,
+//! the less there is to trust.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};

@@ -5,10 +5,14 @@
 //!
 //! ```text
 //! accept → parse → admit (bounded queue, 429 on overflow) → executor
-//!        → run_validated_pass_parallel (work-stealing pool, shared
+//!        → ValidationRun::run_pass per pass (work-stealing pool, shared
 //!          content-addressed cache, tenant-namespaced keys)
 //!        → respond (text = offline `crellvm opt` bytes, or JSON)
 //! ```
+//!
+//! A request asks for verdicts only, so a function whose units all hit
+//! the cache is never decoded: each hit's entry carries the digest that
+//! keys the function's next pass.
 //!
 //! Every admitted request is minted a **trace id** (`t-<seq>`). The id
 //! rides the response header (`X-Crellvm-Trace-Id`), the access-log line,
@@ -18,9 +22,10 @@
 //!
 //! # Determinism contract
 //!
-//! The daemon runs the *same* engine as `crellvm opt` — same default
-//! passes, same `PassConfig`/`CheckerConfig`, same deterministic
-//! scatter-by-function-index reassembly — and renders verdict lines
+//! The daemon runs the *same* engine as `crellvm opt` — one
+//! [`ValidationRun`] per request, same default passes, same
+//! `PassConfig`/`CheckerConfig`, same deterministic
+//! scatter-by-function-index step order — and renders verdict lines
 //! through the same [`format_step_line`] formatter. A `text/plain`
 //! response is therefore byte-identical to offline `opt` stdout at any
 //! `--jobs`, warm or cold cache; CI's serve-smoke job diffs the two.
@@ -38,8 +43,8 @@ use crate::http::{read_request, Request, Response};
 use crellvm_core::{CheckerConfig, ValidationCache};
 use crellvm_ir::{parse_module, verify_module, Module};
 use crellvm_passes::{
-    format_step_line, run_validated_pass_parallel, ParallelOptions, PassConfig, PipelineReport,
-    ProofFormat, StepOutcome,
+    format_step_line, ParallelOptions, PassConfig, PipelineReport, ProofFormat, StepOutcome,
+    ValidationRun,
 };
 use crellvm_telemetry::json::Value;
 use crellvm_telemetry::{export::openmetrics, Registry, Telemetry};
@@ -146,7 +151,7 @@ impl ServerState {
     }
 
     fn queue_depth(&self) -> usize {
-        self.queue.lock().unwrap().len()
+        self.queue.lock().expect("queue lock poisoned").len()
     }
 }
 
@@ -277,7 +282,7 @@ fn listener_loop(state: &Arc<ServerState>, listener: &TcpListener) {
 fn executor_loop(state: &Arc<ServerState>) {
     loop {
         let job = {
-            let mut queue = state.queue.lock().unwrap();
+            let mut queue = state.queue.lock().expect("queue lock poisoned");
             loop {
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
@@ -332,12 +337,11 @@ fn run_validation(
     let mut lines = Vec::new();
     let mut steps = Vec::new();
     let mut failures = 0usize;
-    let mut cur: Option<Module> = None;
+    // Verdicts only: a function that stays warm is never decoded.
+    let mut run = ValidationRun::new(&req.module, &config, &checker, &opts, &tel);
     for pass in &req.passes {
         let steps_before = report.steps.len();
-        let input = cur.as_ref().unwrap_or(&req.module);
-        let out =
-            run_validated_pass_parallel(pass, input, &config, &checker, &opts, &tel, &mut report);
+        run.run_pass(pass, &mut report);
         for step in &report.steps[steps_before..] {
             if matches!(step.outcome, StepOutcome::Failed(_)) {
                 failures += 1;
@@ -355,7 +359,6 @@ fn run_validation(
                 step.proof_bytes,
             ));
         }
-        cur = Some(out.module);
     }
     if spans_on {
         write_span_log(state, req, &report);
@@ -389,7 +392,7 @@ fn write_span_log(state: &ServerState, req: &ValidateRequest, report: &PipelineR
         root.fields
             .insert("tenant".to_string(), Value::Str(req.tenant.clone()));
     }
-    let mut file = log.lock().unwrap();
+    let mut file = log.lock().expect("span log lock poisoned");
     let _ = writeln!(file, "{}", tree.to_json());
     let _ = file.flush();
 }
@@ -433,7 +436,7 @@ fn write_access_log(
         obj.insert("cache_hits".to_string(), Value::UInt(r.cache_hits));
         obj.insert("cache_misses".to_string(), Value::UInt(r.cache_misses));
     }
-    let mut file = log.lock().unwrap();
+    let mut file = log.lock().expect("access log lock poisoned");
     let _ = writeln!(file, "{}", Value::Obj(obj).to_json());
     let _ = file.flush();
 }
@@ -599,7 +602,7 @@ fn handle_validate(state: &Arc<ServerState>, req: &Request) -> Response {
     // pile-up. Over capacity the client is told when to come back.
     let (tx, rx) = mpsc::channel();
     {
-        let mut queue = state.queue.lock().unwrap();
+        let mut queue = state.queue.lock().expect("queue lock poisoned");
         // `shutdown` sets its flag under this lock, so a job pushed while
         // the flag is clear is drained by an executor before it exits.
         if state.shutdown.load(Ordering::SeqCst) {

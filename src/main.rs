@@ -78,16 +78,16 @@
 
 use crellvm::diff::diff_modules;
 use crellvm::erhl::{
-    proof_from_bytes, proof_from_json, proof_to_bytes_v2, proof_to_json, replay,
-    validate_with_telemetry, CacheEntry, CacheKey, CheckerConfig, ValidationCache, Verdict,
+    proof_from_bytes, proof_from_json, proof_to_json, replay, validate_with_telemetry, CacheEntry,
+    CacheKey, CheckerConfig, ValidationCache, Verdict,
 };
 use crellvm::fuzz::{run_campaign_with_progress, write_findings, CampaignConfig};
 use crellvm::gen::{generate_module, GenConfig};
 use crellvm::interp::{run_main, RunConfig, UndefPolicy};
 use crellvm::ir::{parse_module, printer::print_module, verify_module, Module};
 use crellvm::passes::{
-    default_jobs, run_validated_pass_parallel, run_work_stealing, BugSet, ParallelOptions,
-    PassConfig, PipelineReport, ProofFormat, StepOutcome,
+    default_jobs, run_work_stealing, BugSet, ParallelOptions, PassConfig, PipelineReport,
+    ProofFormat, StepOutcome, ValidationRun,
 };
 use crellvm::telemetry::export::{chrome_trace, openmetrics};
 use crellvm::telemetry::forensics::ForensicBundle;
@@ -103,7 +103,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(200);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
+        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K] [--out FILE]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -219,10 +219,10 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
     let config = PassConfig::with_bugs(bugs);
     let (registry, tel) = make_telemetry(trace.as_deref())?;
     let checker = CheckerConfig::sound();
-    let mut cur = load(file)?;
+    let input = load(file)?;
     // One progress unit per (pass, function) validation step.
     let progress = progress_mode.map(|mode| {
-        let total = (passes.len() * cur.functions.len()) as u64;
+        let total = (passes.len() * input.functions.len()) as u64;
         let p = Progress::new(mode, "opt", total);
         p.start_ticker(PROGRESS_PERIOD);
         p
@@ -239,21 +239,26 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
     tel.count("pipeline.jobs", jobs as u64);
     let mut report = PipelineReport::default();
     let mut failures = 0usize;
+    let mut run = ValidationRun::new(&input, &config, &checker, &opts, &tel);
     for pass in &passes {
         let steps_before = report.steps.len();
-        let out =
-            run_validated_pass_parallel(pass, &cur, &config, &checker, &opts, &tel, &mut report);
+        run.run_pass(pass, &mut report);
         if let Some(dir) = &proof_dir {
-            for unit in &out.proofs {
+            for (i, f) in input.functions.iter().enumerate() {
+                // A `.cpb` dump of a cache hit is the entry's bytes as
+                // stored; a JSON dump decodes it.
                 let (path, bytes) = if binary {
                     (
-                        format!("{dir}/{pass}.{}.cpb", unit.src.name),
-                        proof_to_bytes_v2(unit).map_err(|e| e.to_string())?,
+                        format!("{dir}/{pass}.{}.cpb", f.name),
+                        run.proof_bytes_v2(i).map_err(|e| e.to_string())?,
                     )
                 } else {
                     (
-                        format!("{dir}/{pass}.{}.json", unit.src.name),
-                        proof_to_json(unit).map_err(|e| e.to_string())?.into_bytes(),
+                        format!("{dir}/{pass}.{}.json", f.name),
+                        proof_to_json(run.proof(i))
+                            .map_err(|e| e.to_string())?
+                            .into_bytes()
+                            .into(),
                     )
                 };
                 std::fs::write(&path, bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -270,13 +275,12 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
                 crellvm::passes::format_step_line(pass, &step.func, &step.outcome)
             );
         }
-        cur = out.module;
     }
     if let Some(p) = &progress {
         p.finish();
     }
     if emit {
-        print!("{}", print_module(&cur));
+        print!("{}", print_module(&run.into_module()));
     }
     if let Some(path) = &metrics {
         std::fs::write(path, registry.snapshot().to_json()).map_err(|e| format!("{path}: {e}"))?;
@@ -668,6 +672,11 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
                     "cache.evictions",
                     counter("cache.evictions")
                 );
+            }
+            // Entries decoded back into a function body; the engine
+            // records it, even at zero, whenever the cache is on.
+            if let Some(n) = snap.counters.get("cache.materialized") {
+                let _ = writeln!(out, "  {:<32} {n:>12}", "cache.materialized");
             }
         }
         for row in io_rows {

@@ -4,12 +4,15 @@
 //! function, the pass configuration, or the checker version invalidates
 //! exactly the affected entries.
 
-use crellvm::erhl::{CacheKey, CheckerConfig, ValidationCache, CHECKER_VERSION};
+use crellvm::erhl::{
+    serialize_bin, CacheEntry, CacheKey, CheckerConfig, ValidationCache, CHECKER_VERSION,
+};
+use crellvm::gen::{generate_module, GenConfig};
 use crellvm::ir::printer::print_module;
 use crellvm::ir::{parse_module, Module};
+use crellvm::passes::pipeline::PASS_ORDER;
 use crellvm::passes::{
-    run_pipeline_parallel, run_validated_pass_parallel, BugSet, ParallelOptions, PassConfig,
-    PipelineReport,
+    run_pipeline_parallel, BugSet, ParallelOptions, PassConfig, PipelineReport, ValidationRun,
 };
 use crellvm::telemetry::{Snapshot, Telemetry};
 use std::sync::Arc;
@@ -98,6 +101,53 @@ fn run(
 
 fn counter(snap: &Snapshot, name: &str) -> u64 {
     snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Every default pass through the engine's own API, asking only for
+/// verdicts: the report and the registry, before any body is returned.
+fn run_verdicts<'a>(
+    m: &'a Module,
+    config: &'a PassConfig,
+    checker: &'a CheckerConfig,
+    opts: &'a ParallelOptions,
+    tel: &'a Telemetry,
+) -> (ValidationRun<'a>, PipelineReport, Snapshot) {
+    let mut report = PipelineReport::default();
+    let mut run = ValidationRun::new(m, config, checker, opts, tel);
+    for pass in PASS_ORDER {
+        run.run_pass(pass, &mut report);
+    }
+    (run, report, tel.registry().snapshot())
+}
+
+/// The observables a warm run must share with a cold one.
+fn assert_same_run(
+    (cold_out, cold_rep, cold_snap): (&str, &PipelineReport, &Snapshot),
+    (warm_out, warm_rep, warm_snap): (&str, &PipelineReport, &Snapshot),
+    what: &str,
+) {
+    assert_eq!(cold_out, warm_out, "module differs: {what}");
+    assert_eq!(cold_rep.steps.len(), warm_rep.steps.len(), "{what}");
+    for (a, b) in cold_rep.steps.iter().zip(&warm_rep.steps) {
+        assert_eq!((&a.pass, &a.func), (&b.pass, &b.func), "{what}");
+        assert_eq!(a.outcome, b.outcome, "verdict differs: {what}");
+        assert_eq!(a.proof_bytes, b.proof_bytes, "{what}");
+    }
+    assert_eq!(
+        cold_snap.deterministic().to_json(),
+        warm_snap.deterministic().to_json(),
+        "deterministic metrics differ: {what}"
+    );
+}
+
+fn cache_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "cpe"))
+        .collect();
+    files.sort();
+    files
 }
 
 #[test]
@@ -194,34 +244,19 @@ fn checker_configuration_and_version_change_the_key() {
         ..ParallelOptions::default()
     };
 
-    let mut report = PipelineReport::default();
+    let opts = mk_opts(&cache);
     let sound = CheckerConfig::sound();
-    run_validated_pass_parallel(
-        "mem2reg",
-        &m,
-        &config,
-        &sound,
-        &mk_opts(&cache),
-        &tel,
-        &mut report,
-    );
+    ValidationRun::new(&m, &config, &sound, &opts, &tel)
+        .run_pass("mem2reg", &mut PipelineReport::default());
     let cold = tel.registry().snapshot();
     let steps = counter(&cold, "cache.misses");
     assert!(steps > 0);
 
     // A checker with a different trust switch must miss everywhere.
     let tel2 = Telemetry::disabled();
-    let mut report2 = PipelineReport::default();
     let trusting = CheckerConfig::with_unsound_constexpr_rule();
-    run_validated_pass_parallel(
-        "mem2reg",
-        &m,
-        &config,
-        &trusting,
-        &mk_opts(&cache),
-        &tel2,
-        &mut report2,
-    );
+    ValidationRun::new(&m, &config, &trusting, &opts, &tel2)
+        .run_pass("mem2reg", &mut PipelineReport::default());
     let snap2 = tel2.registry().snapshot();
     assert_eq!(counter(&snap2, "cache.misses"), steps);
     assert_eq!(counter(&snap2, "cache.hits"), 0);
@@ -284,4 +319,125 @@ fn spans_and_forensics_bypass_the_cache() {
     assert_eq!(counter(&snap, "cache.hits"), 0);
     assert_eq!(counter(&snap, "cache.misses"), 0);
     assert!(!report.span_items.is_empty());
+}
+
+#[test]
+fn the_digest_split_leaves_unit_keys_unchanged() {
+    // The value the single-pass hash gave before keys were split into a
+    // function digest and a finish step.
+    let key = CacheKey::for_unit(b"func", "gvn", 0, 0, 2);
+    assert_eq!(key, CacheKey(0x22bf_a476_f516_0567));
+    let digest = CacheKey::function_digest(b"func");
+    assert_eq!(CacheKey::for_function(digest, "gvn", 0, 0, 2), key);
+}
+
+#[test]
+fn eviction_in_the_middle_of_a_chain_rebuilds_functions_from_earlier_hits() {
+    let m = generate_module(&GenConfig {
+        seed: 7,
+        functions: 12,
+        ..GenConfig::default()
+    });
+    let config = PassConfig::default();
+    let checker = CheckerConfig::sound();
+    let (cold_out, cold_rep, cold_snap) = run(&m, None, 1, &config);
+    let units = cold_rep.steps.len();
+
+    for jobs in [1, 2, 8] {
+        // A cold run fills a cache too small to hold every unit, so some
+        // functions hit an early pass and miss a later one.
+        let cache = Arc::new(ValidationCache::new().capacity(units * 2 / 3));
+        run(&m, Some(&cache), 1, &config);
+        let tel = Telemetry::disabled();
+        let opts = ParallelOptions {
+            jobs,
+            cache: Some(Arc::clone(&cache)),
+            ..ParallelOptions::default()
+        };
+        let (vrun, warm_rep, verdicts) = run_verdicts(&m, &config, &checker, &opts, &tel);
+        let warm_out = print_module(&vrun.into_module());
+        assert_same_run(
+            (&cold_out, &cold_rep, &cold_snap),
+            (&warm_out, &warm_rep, &tel.registry().snapshot()),
+            &format!("jobs={jobs}"),
+        );
+        if jobs == 1 {
+            // Deterministic at one worker: bodies were decoded between
+            // passes, before any was returned.
+            assert!(counter(&verdicts, "cache.hits") > 0);
+            assert!(counter(&verdicts, "cache.misses") > 0);
+            assert!(counter(&verdicts, "cache.materialized") > 0);
+        }
+    }
+}
+
+#[test]
+fn a_warm_run_decodes_only_the_bodies_it_returns() {
+    let m = parse_module(BASE).unwrap();
+    let config = PassConfig::default();
+    let checker = CheckerConfig::sound();
+    let cache = Arc::new(ValidationCache::new());
+    let (_, cold_rep, _) = run(&m, Some(&cache), 1, &config);
+    let units = cold_rep.steps.len() as u64;
+    let opts = ParallelOptions {
+        jobs: 2,
+        cache: Some(Arc::clone(&cache)),
+        ..ParallelOptions::default()
+    };
+
+    // Verdicts only: every unit hits and nothing is decoded.
+    let tel = Telemetry::disabled();
+    let (_, _, snap) = run_verdicts(&m, &config, &checker, &opts, &tel);
+    assert_eq!(counter(&snap, "cache.hits"), units);
+    assert_eq!(snap.counters.get("cache.materialized"), Some(&0));
+    assert!(!snap.timers.contains_key("time.io.decode"));
+
+    // The pipeline returns the module: one body decoded per function.
+    let tel = Telemetry::disabled();
+    run_pipeline_parallel(&m, &config, &opts, &tel);
+    let snap = tel.registry().snapshot();
+    assert_eq!(counter(&snap, "cache.hits"), units);
+    assert_eq!(
+        counter(&snap, "cache.materialized"),
+        m.functions.len() as u64
+    );
+    assert!(snap.timers.contains_key("time.io.decode"));
+}
+
+#[test]
+fn an_entry_in_the_version_1_layout_is_a_miss_and_is_overwritten() {
+    let dir = std::env::temp_dir().join(format!("crellvm_cache_v1_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let m = parse_module(BASE).unwrap();
+    let config = PassConfig::default();
+    let open = || Arc::new(ValidationCache::with_dir(&dir).unwrap());
+    let (cold_out, _, cold_snap) = run(&m, Some(&open()), 1, &config);
+    let steps = counter(&cold_snap, "cache.misses");
+
+    // Rewrite every entry in the layout of entry version 1: the same
+    // fields in the same order, without the target digest.
+    let files = cache_files(&dir);
+    assert_eq!(files.len() as u64, steps);
+    for path in &files {
+        let e: CacheEntry = serialize_bin::from_bytes_v2(&std::fs::read(path).unwrap()).unwrap();
+        let v1 = (
+            (1u32, e.wire_format, e.outcome, e.reason),
+            (e.proof, e.proof_bytes, e.metrics_json),
+        );
+        std::fs::write(path, serialize_bin::to_bytes_v2(&v1).unwrap()).unwrap();
+    }
+
+    let (warm_out, _, warm_snap) = run(&m, Some(&open()), 1, &config);
+    assert_eq!(cold_out, warm_out);
+    assert_eq!(counter(&warm_snap, "cache.hits"), 0);
+    assert_eq!(counter(&warm_snap, "cache.misses"), steps);
+    // The run wrote every entry back in the current layout.
+    let current = CacheEntry::new(0, String::new()).entry_version;
+    for path in &cache_files(&dir) {
+        let e: CacheEntry = serialize_bin::from_bytes_v2(&std::fs::read(path).unwrap()).unwrap();
+        assert_eq!(e.entry_version, current, "{}", path.display());
+    }
+    let (_, _, again) = run(&m, Some(&open()), 1, &config);
+    assert_eq!(counter(&again, "cache.hits"), steps);
+    let _ = std::fs::remove_dir_all(&dir);
 }

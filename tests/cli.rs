@@ -462,6 +462,81 @@ fn cache_dir_serves_warm_runs_with_identical_verdicts() {
 }
 
 #[test]
+fn a_cached_proof_that_does_not_decode_is_rebuilt_from_the_input() {
+    use crellvm::erhl::{serialize_bin, CacheEntry, CacheKey, CheckerConfig};
+    use crellvm::passes::{BugSet, PassConfig, ProofFormat};
+
+    let prog = tmpfile("hostile_cache.cll");
+    let out = run(&[
+        "gen",
+        "--seed",
+        "7",
+        "--functions",
+        "6",
+        "--out",
+        prog.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let dir = tmpfile("hostile_cache_store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let metrics = tmpfile("hostile_cache_metrics.json");
+    let opt = |extra: &[&str]| {
+        let mut args = vec![
+            "opt",
+            prog.to_str().unwrap(),
+            "--bugs",
+            "3.7.1",
+            "--emit",
+            "--cache-dir",
+            dir.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        run(&args)
+    };
+    let cold = opt(&[]);
+    // Two gvn steps fail under the 3.7.1 bugs: the verdicts that must
+    // survive include failure reasons and the exit status.
+    assert_eq!(cold.status.code(), Some(1));
+
+    // Re-seal the first function's mem2reg entry around proof bytes that
+    // do not decode, and delete its instcombine entry, so the next pass
+    // misses and the function must be rebuilt from the planted entry.
+    let m = crellvm::ir::parse_module(&std::fs::read_to_string(&prog).unwrap()).unwrap();
+    let key = |digest: u64, pass: &str| {
+        let key = CacheKey::for_function(
+            digest,
+            pass,
+            PassConfig::with_bugs(BugSet::llvm_3_7_1()).cache_token(),
+            CheckerConfig::sound().cache_token(),
+            ProofFormat::Binary.wire_token(),
+        );
+        dir.join(format!("{:016x}.cpe", key.0))
+    };
+    let f_bytes = serialize_bin::to_bytes(&m.functions[0]).unwrap();
+    let planted = key(CacheKey::function_digest(&f_bytes), "mem2reg");
+    let mut entry: CacheEntry =
+        serialize_bin::from_bytes_v2(&std::fs::read(&planted).unwrap()).unwrap();
+    std::fs::remove_file(key(entry.tgt_digest, "instcombine")).unwrap();
+    entry.proof.truncate(entry.proof.len() / 2);
+    std::fs::write(&planted, serialize_bin::to_bytes_v2(&entry).unwrap()).unwrap();
+
+    let warm = opt(&["--metrics", metrics.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(warm.status.code(), cold.status.code(), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&warm.stdout),
+        String::from_utf8_lossy(&cold.stdout)
+    );
+    // The planted entry hit, and the one unit after it missed.
+    let snap = crellvm::telemetry::Snapshot::from_json(&std::fs::read_to_string(&metrics).unwrap())
+        .unwrap();
+    let units = snap.counters["pipeline.steps"];
+    assert_eq!(snap.counters.get("cache.misses"), Some(&1));
+    assert_eq!(snap.counters.get("cache.hits"), Some(&(units - 1)));
+}
+
+#[test]
 fn bad_usage_is_reported() {
     let out = run(&[]);
     assert_eq!(out.status.code(), Some(2));

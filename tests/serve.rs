@@ -153,6 +153,9 @@ fn daemon_probes_metrics_and_access_log_work_end_to_end() {
     assert_eq!(view.counter("serve_tenant_acme_requests"), 1);
     assert!(view.histograms.contains_key("serve_latency_us"));
     assert_eq!(view.gauge("serve_ready"), 1);
+    // A verdicts-only request decodes no cached body; the counter shows
+    // even at zero.
+    assert_eq!(view.counters.get("cache_materialized"), Some(&0));
 
     // The access log carries the same trace id, structured.
     let log = std::fs::read_to_string(&access_log).unwrap();
