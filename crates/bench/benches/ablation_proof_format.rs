@@ -7,24 +7,28 @@
 //! corpus through both formats and reports the I/O time and wire size
 //! each produces — every verdict must be identical.
 
-use crellvm_core::CheckerConfig;
 use crellvm_gen::{generate_module, GenConfig};
-use crellvm_passes::pipeline::{run_validated_pass_with, PipelineReport, PASS_ORDER};
-use crellvm_passes::{PassConfig, ProofFormat};
+use crellvm_passes::{
+    run_pipeline_parallel, ParallelOptions, PassConfig, PipelineReport, ProofFormat,
+};
+use crellvm_telemetry::Telemetry;
 
 fn run(format: ProofFormat, seeds: u64) -> PipelineReport {
-    let config = PassConfig::default();
-    let checker = CheckerConfig::sound();
+    let opts = ParallelOptions {
+        jobs: 1,
+        format,
+        ..ParallelOptions::default()
+    };
     let mut report = PipelineReport::default();
     for seed in 0..seeds {
-        let mut m = generate_module(&GenConfig {
+        let m = generate_module(&GenConfig {
             seed,
             functions: 3,
             ..GenConfig::default()
         });
-        for pass in PASS_ORDER {
-            m = run_validated_pass_with(pass, &m, &config, &checker, format, &mut report);
-        }
+        let (_, r) =
+            run_pipeline_parallel(&m, &PassConfig::default(), &opts, &Telemetry::disabled());
+        report.merge(r);
     }
     report
 }

@@ -1,6 +1,6 @@
 //! Figs 12–14 — LLVM 5.0.1 *after* the GVN patch: no failures remain.
 
-use crellvm_bench::experiment::{default_scale, run_corpus_experiment};
+use crellvm_bench::experiment::{default_scale, run_corpus_experiment, PASSES};
 use crellvm_bench::tables;
 use crellvm_passes::{BugSet, PassConfig};
 
@@ -25,10 +25,7 @@ fn main() {
         "{}",
         tables::per_benchmark_times("Fig 14 — per-benchmark times", &r)
     );
-    let total_f: usize = ["mem2reg", "gvn", "licm", "instcombine"]
-        .iter()
-        .map(|p| r.total(p).failures)
-        .sum();
+    let total_f: usize = PASSES.iter().map(|p| r.total(p).failures()).sum();
     println!("\ntotal #F = {total_f} (paper: 0 after the patch)");
     assert_eq!(total_f, 0, "the fixed compiler must produce no failures");
 }

@@ -19,5 +19,5 @@ pub mod experiment;
 pub mod sloc;
 pub mod tables;
 
-pub use experiment::{run_corpus_experiment, run_csmith_experiment, CorpusResult, PassRow};
+pub use experiment::{run_corpus_experiment, run_csmith_experiment, CorpusResult, PassReports};
 pub use sloc::{measure_sloc, SlocRow};

@@ -92,12 +92,7 @@ pub fn measure_sloc() -> Vec<SlocRow> {
             .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
         let (compiler, proofgen) = classify(&src);
         rows.push(SlocRow {
-            pass: match pass {
-                "mem2reg" => "mem2reg",
-                "gvn" => "gvn",
-                "licm" => "licm",
-                _ => "instcombine",
-            },
+            pass,
             compiler,
             proofgen,
         });

@@ -1,7 +1,8 @@
 //! Rendering the results in the paper's table layouts.
 
-use crate::experiment::{CorpusResult, PassRow, PASSES};
+use crate::experiment::{CorpusResult, PassReports, PASSES};
 use crate::sloc::SlocRow;
+use crellvm_passes::PipelineReport;
 use std::fmt::Write;
 use std::time::Duration;
 
@@ -58,9 +59,9 @@ pub fn summary(title: &str, result: &CorpusResult) -> String {
             out,
             "{:<13} {:>8} {:>6} {:>8} | {:>9} {:>9} {:>9} {:>9}",
             pass,
-            r.validations,
-            r.failures,
-            r.not_supported,
+            r.validations(),
+            r.failures(),
+            r.not_supported(),
             secs(r.time_orig),
             secs(r.time_pcal),
             secs(r.time_io),
@@ -68,6 +69,17 @@ pub fn summary(title: &str, result: &CorpusResult) -> String {
         );
     }
     out
+}
+
+/// One pass's `#V #F #NS` cell of a per-benchmark row.
+fn counts(out: &mut String, r: &PipelineReport) {
+    let _ = write!(
+        out,
+        " | {:>6} {:>4} {:>5}",
+        r.validations(),
+        r.failures(),
+        r.not_supported()
+    );
 }
 
 /// Fig 7 / 10 / 13 — validation results per benchmark.
@@ -79,29 +91,16 @@ pub fn per_benchmark_results(title: &str, result: &CorpusResult) -> String {
         let _ = write!(out, " | {:>6} {:>4} {:>5}", format!("{pass}"), "#F", "#NS");
     }
     let _ = writeln!(out);
-    for (bench, br) in &result.benchmarks {
+    for (bench, reports) in &result.benchmarks {
         let _ = write!(out, "{:<20} {:>8.2}", bench.name, bench.loc_k);
         for pass in PASSES {
-            let r = br.rows.get(pass).cloned().unwrap_or_default();
-            let _ = write!(
-                out,
-                " | {:>6} {:>4} {:>5}",
-                r.validations, r.failures, r.not_supported
-            );
+            counts(&mut out, &reports[pass]);
         }
         let _ = writeln!(out);
     }
-    let mut totals: Vec<PassRow> = Vec::new();
-    for pass in PASSES {
-        totals.push(result.total(pass));
-    }
     let _ = write!(out, "{:<20} {:>8}", "Total", "");
-    for r in &totals {
-        let _ = write!(
-            out,
-            " | {:>6} {:>4} {:>5}",
-            r.validations, r.failures, r.not_supported
-        );
+    for pass in PASSES {
+        counts(&mut out, &result.total(pass));
     }
     let _ = writeln!(out);
     out
@@ -125,10 +124,10 @@ pub fn per_benchmark_times(title: &str, result: &CorpusResult) -> String {
         );
     }
     let _ = writeln!(out);
-    for (bench, br) in &result.benchmarks {
+    for (bench, reports) in &result.benchmarks {
         let _ = write!(out, "{:<20}", bench.name);
         for pass in PASSES {
-            let r = br.rows.get(pass).cloned().unwrap_or_default();
+            let r = &reports[pass];
             let _ = write!(
                 out,
                 " | {:>7}{:>8}{:>8}{:>8}",
@@ -145,7 +144,7 @@ pub fn per_benchmark_times(title: &str, result: &CorpusResult) -> String {
 
 /// The CSmith experiment table (§7, "Validating Randomly Generated
 /// Programs").
-pub fn csmith(title: &str, rows: &std::collections::BTreeMap<&'static str, PassRow>) -> String {
+pub fn csmith(title: &str, reports: &PassReports) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(
@@ -153,16 +152,20 @@ pub fn csmith(title: &str, rows: &std::collections::BTreeMap<&'static str, PassR
         "{:<13} {:>8} {:>6} {:>8} {:>10}",
         "", "#V", "#F", "#NS", "NS-rate"
     );
-    for (pass, r) in rows {
-        let rate = if r.validations > 0 {
-            100.0 * r.not_supported as f64 / r.validations as f64
+    for (pass, r) in reports {
+        let rate = if r.validations() > 0 {
+            100.0 * r.not_supported() as f64 / r.validations() as f64
         } else {
             0.0
         };
         let _ = writeln!(
             out,
             "{:<13} {:>8} {:>6} {:>8} {:>9.1}%",
-            pass, r.validations, r.failures, r.not_supported, rate
+            pass,
+            r.validations(),
+            r.failures(),
+            r.not_supported(),
+            rate
         );
     }
     out

@@ -41,8 +41,7 @@ use crellvm_gen::{
 };
 use crellvm_interp::{compile_module_with, run_main_tiered, BcCache, CompileOptions, Tier};
 use crellvm_ir::Module;
-use crellvm_passes::pipeline::PASS_ORDER;
-use crellvm_passes::{gvn, instcombine, licm, mem2reg, BugSet, PassConfig, PassOutcome};
+use crellvm_passes::{run_pass, BugSet, PassConfig, PassOutcome, PASS_ORDER};
 use crellvm_telemetry::forensics::ddmin;
 use crellvm_telemetry::{Progress, Registry, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -267,17 +266,6 @@ impl CampaignReport {
     /// Findings of one kind.
     pub fn findings_of(&self, kind: FindingKind) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(move |f| f.kind == kind)
-    }
-}
-
-/// Run one pass by pipeline name.
-fn run_pass(name: &str, m: &Module, config: &PassConfig) -> PassOutcome {
-    match name {
-        "mem2reg" => mem2reg(m, config),
-        "instcombine" => instcombine(m, config),
-        "gvn" => gvn(m, config),
-        "licm" => licm(m, config),
-        other => panic!("unknown pass {other}"),
     }
 }
 

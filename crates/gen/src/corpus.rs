@@ -138,7 +138,8 @@ impl Benchmark {
         (0..n_modules)
             .map(|i| {
                 let cfg = GenConfig {
-                    seed: base_seed ^ name_seed.wrapping_add(i as u64 * 0x9E3779B97F4A7C15),
+                    seed: base_seed
+                        ^ name_seed.wrapping_add((i as u64).wrapping_mul(0x9E3779B97F4A7C15)),
                     functions: per_module.min(total - i * per_module),
                     unsupported_rate: self.unsupported_rate,
                     feature_mix: FeatureMix::Benchmarks,

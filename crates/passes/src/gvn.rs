@@ -33,26 +33,7 @@ use std::collections::HashMap;
 
 /// Run GVN-PRE over every function of a module.
 pub fn gvn(module: &Module, config: &PassConfig) -> PassOutcome {
-    gvn_traced(module, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`gvn`] recording domain counters (`pass.gvn.*`) into `tel`.
-pub fn gvn_traced(
-    module: &Module,
-    config: &PassConfig,
-    tel: &crellvm_telemetry::Telemetry,
-) -> PassOutcome {
-    let mut out = module.clone();
-    let mut proofs = Vec::new();
-    for f in &module.functions {
-        let unit = gvn_function_traced(f, config, tel);
-        *out.function_mut(&f.name).expect("function exists") = unit.tgt.clone();
-        proofs.push(unit);
-    }
-    PassOutcome {
-        module: out,
-        proofs,
-    }
+    crate::pipeline::run_pass("gvn", module, config)
 }
 
 /// A value number.
@@ -557,12 +538,8 @@ pub fn analyze(f: &Function) -> GvnAnalysis {
     GvnAnalysis { classes }
 }
 
-/// Run GVN-PRE on one function, producing the proof unit.
-pub fn gvn_function(f: &Function, config: &PassConfig) -> ProofUnit {
-    gvn_function_traced(f, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`gvn_function`] recording domain counters into `tel`.
+/// Run GVN-PRE on one function, producing the proof unit and recording
+/// domain counters (`pass.gvn.*`) into `tel`.
 pub fn gvn_function_traced(
     f: &Function,
     config: &PassConfig,

@@ -25,26 +25,7 @@ use std::collections::HashMap;
 
 /// Run one instcombine sweep over every function of a module.
 pub fn instcombine(module: &Module, config: &PassConfig) -> PassOutcome {
-    instcombine_traced(module, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`instcombine`] recording domain counters (`pass.instcombine.*`) into `tel`.
-pub fn instcombine_traced(
-    module: &Module,
-    config: &PassConfig,
-    tel: &crellvm_telemetry::Telemetry,
-) -> PassOutcome {
-    let mut out = module.clone();
-    let mut proofs = Vec::new();
-    for f in &module.functions {
-        let unit = instcombine_function_traced(f, config, tel);
-        *out.function_mut(&f.name).expect("function exists") = unit.tgt.clone();
-        proofs.push(unit);
-    }
-    PassOutcome {
-        module: out,
-        proofs,
-    }
+    crate::pipeline::run_pass("instcombine", module, config)
 }
 
 /// What a matcher wants done with the matched statement.
@@ -1467,12 +1448,8 @@ fn try_match_composite(ctx: &Ctx<'_>, stmt: &Stmt) -> Option<Match> {
     }
 }
 
-/// One instcombine sweep over a function, producing the proof unit.
-pub fn instcombine_function(f: &Function, config: &PassConfig) -> ProofUnit {
-    instcombine_function_traced(f, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`instcombine_function`] recording per-micro-rule hit counters into `tel`.
+/// One instcombine sweep over a function, producing the proof unit and
+/// recording per-micro-rule hit counters (`pass.instcombine.*`) into `tel`.
 pub fn instcombine_function_traced(
     f: &Function,
     config: &PassConfig,

@@ -67,13 +67,13 @@ pub mod schedule;
 pub(crate) mod util;
 
 pub use config::{BugSet, PassConfig, PassOutcome};
-pub use gvn::{gvn, gvn_traced};
-pub use instcombine::{instcombine, instcombine_traced};
-pub use licm::{licm, licm_traced};
-pub use mem2reg::{mem2reg, mem2reg_traced};
+pub use gvn::gvn;
+pub use instcombine::instcombine;
+pub use licm::licm;
+pub use mem2reg::mem2reg;
 pub use parallel::{default_jobs, run_pipeline_parallel, ParallelOptions, ValidationRun};
 pub use pipeline::{
-    format_step_line, run_pipeline, run_pipeline_traced, CodecScratch, PipelineReport, ProofFormat,
-    SpanItem, StepOutcome, StepRecord,
+    format_step_line, run_pass, run_pass_function, CodecScratch, PipelineReport, ProofFormat,
+    SpanItem, StepOutcome, StepRecord, PASS_ORDER,
 };
 pub use schedule::{run_work_stealing, PoolOutput};

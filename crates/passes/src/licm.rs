@@ -21,26 +21,7 @@ use std::collections::HashSet;
 
 /// Run LICM over every function of a module.
 pub fn licm(module: &Module, config: &PassConfig) -> PassOutcome {
-    licm_traced(module, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`licm`] recording domain counters (`pass.licm.*`) into `tel`.
-pub fn licm_traced(
-    module: &Module,
-    config: &PassConfig,
-    tel: &crellvm_telemetry::Telemetry,
-) -> PassOutcome {
-    let mut out = module.clone();
-    let mut proofs = Vec::new();
-    for f in &module.functions {
-        let unit = licm_function_traced(f, config, tel);
-        *out.function_mut(&f.name).expect("function exists") = unit.tgt.clone();
-        proofs.push(unit);
-    }
-    PassOutcome {
-        module: out,
-        proofs,
-    }
+    crate::pipeline::run_pass("licm", module, config)
 }
 
 /// A natural loop: header, unique preheader, and body blocks.
@@ -93,12 +74,8 @@ pub fn natural_loops(f: &Function, cfg: &Cfg, dom: &DomTree) -> Vec<NaturalLoop>
     loops
 }
 
-/// Run LICM on one function, producing the proof unit.
-pub fn licm_function(f: &Function, config: &PassConfig) -> ProofUnit {
-    licm_function_traced(f, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`licm_function`] recording domain counters into `tel`.
+/// Run LICM on one function, producing the proof unit and recording
+/// domain counters (`pass.licm.*`) into `tel`.
 pub fn licm_function_traced(
     f: &Function,
     config: &PassConfig,

@@ -24,26 +24,7 @@ use std::collections::{HashMap, HashSet};
 
 /// Run register promotion over every function of a module.
 pub fn mem2reg(module: &Module, config: &PassConfig) -> PassOutcome {
-    mem2reg_traced(module, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`mem2reg`] recording domain counters (`pass.mem2reg.*`) into `tel`.
-pub fn mem2reg_traced(
-    module: &Module,
-    config: &PassConfig,
-    tel: &crellvm_telemetry::Telemetry,
-) -> PassOutcome {
-    let mut out = module.clone();
-    let mut proofs = Vec::new();
-    for f in &module.functions {
-        let unit = promote_function_traced(f, config, tel);
-        *out.function_mut(&f.name).expect("function exists") = unit.tgt.clone();
-        proofs.push(unit);
-    }
-    PassOutcome {
-        module: out,
-        proofs,
-    }
+    crate::pipeline::run_pass("mem2reg", module, config)
 }
 
 /// A promotable stack slot found in the source function.
@@ -424,12 +405,8 @@ fn classify(
     Mode::General { phis }
 }
 
-/// Promote every promotable alloca of `f`, producing the proof unit.
-pub fn promote_function(f: &Function, config: &PassConfig) -> ProofUnit {
-    promote_function_traced(f, config, &crellvm_telemetry::Telemetry::disabled())
-}
-
-/// [`promote_function`] recording domain counters into `tel`.
+/// Promote every promotable alloca of `f`, producing the proof unit and
+/// recording domain counters (`pass.mem2reg.*`) into `tel`.
 pub fn promote_function_traced(
     f: &Function,
     config: &PassConfig,

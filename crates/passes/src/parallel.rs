@@ -42,7 +42,8 @@
 
 use crate::config::PassConfig;
 use crate::pipeline::{
-    CodecScratch, PipelineReport, ProofFormat, SpanItem, StepOutcome, StepRecord, PASS_ORDER,
+    run_pass_function, CodecScratch, PipelineReport, ProofFormat, SpanItem, StepOutcome,
+    StepRecord, PASS_ORDER,
 };
 use crellvm_core::cache::{OUTCOME_FAILED, OUTCOME_NOT_SUPPORTED, OUTCOME_VALID};
 use crellvm_core::{
@@ -126,18 +127,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Run one pass over a single function (the per-function slice of
-/// `pipeline::run_pass`).
-fn run_pass_function(name: &str, f: &Function, config: &PassConfig, tel: &Telemetry) -> ProofUnit {
-    match name {
-        "mem2reg" => crate::mem2reg::promote_function_traced(f, config, tel),
-        "instcombine" => crate::instcombine::instcombine_function_traced(f, config, tel),
-        "gvn" => crate::gvn::gvn_function_traced(f, config, tel),
-        "licm" => crate::licm::licm_function_traced(f, config, tel),
-        other => panic!("unknown pass {other}"),
-    }
 }
 
 /// One function as a [`ValidationRun`] carries it from pass to pass.
@@ -278,17 +267,7 @@ fn process_item(
     };
 
     pass_span.field("proof_bytes", Value::UInt(wire_len as u64));
-    pass_span.field(
-        "verdict",
-        Value::Str(
-            match &outcome {
-                StepOutcome::Valid => "valid",
-                StepOutcome::Failed(_) => "failed",
-                StepOutcome::NotSupported(_) => "not_supported",
-            }
-            .to_string(),
-        ),
-    );
+    pass_span.field("verdict", Value::Str(outcome.tag().to_string()));
     drop(pass_span);
     let span = collector.as_ref().and_then(|c| c.take_roots().pop());
 
@@ -391,11 +370,10 @@ fn replay_cache_hit(
 /// something needs it: a later pass that misses,
 /// [`ValidationRun::proof`], or [`ValidationRun::into_module`].
 ///
-/// Pass by pass, equivalent to `pipeline::run_validated_pass_traced` in
-/// every deterministic observable: same transformed functions, same step
-/// records in function order, same measurement counters and histograms.
-/// Per-worker registries are merged into `tel`'s registry after each
-/// pass's pool joins.
+/// Every deterministic observable is independent of the worker count:
+/// the transformed functions, the step records in function order, and the
+/// measurement counters and histograms. Per-worker registries are merged
+/// into `tel`'s registry after each pass's pool joins.
 pub struct ValidationRun<'a> {
     input: &'a Module,
     config: &'a PassConfig,
@@ -808,23 +786,34 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_pipeline() {
-        let m = parse_module(PROGRAM).unwrap();
-        let seq_tel = Telemetry::disabled();
-        let (seq_out, seq_report) =
-            crate::pipeline::run_pipeline_traced(&m, &PassConfig::default(), &seq_tel);
-        let (par_out, par_report, par_snap) = run_at(4);
-        assert_eq!(crellvm_ir::printer::print_module(&seq_out), par_out);
-        assert_eq!(seq_report.steps.len(), par_report.steps.len());
-        for (a, b) in seq_report.steps.iter().zip(&par_report.steps) {
-            assert_eq!((&a.pass, &a.func), (&b.pass, &b.func));
-            assert_eq!(a.outcome, b.outcome);
-            assert_eq!(a.proof_bytes, b.proof_bytes);
+        // The sequential reference, built here: each pass over the whole
+        // module with `run_pass`, each unit's proof round-tripped through
+        // JSON and checked. The engine runs at 4 workers.
+        let config = PassConfig::default();
+        let mut cur = parse_module(PROGRAM).unwrap();
+        let mut reference = Vec::new();
+        for pass in PASS_ORDER {
+            let out = crate::pipeline::run_pass(pass, &cur, &config);
+            for unit in &out.proofs {
+                let json = crellvm_core::proof_to_json(unit).unwrap();
+                let decoded = crellvm_core::proof_from_json(&json).unwrap();
+                let outcome = match crellvm_core::validate(&decoded) {
+                    Ok(Verdict::Valid) => StepOutcome::Valid,
+                    Ok(Verdict::NotSupported(r)) => StepOutcome::NotSupported(r),
+                    Err(e) => StepOutcome::Failed(e.to_string()),
+                };
+                reference.push((pass.to_string(), unit.src.name.clone(), outcome, json.len()));
+            }
+            cur = out.module;
         }
-        // Measurement metrics agree with the sequential engine.
-        let seq_det = seq_tel.registry().snapshot().deterministic();
-        let par_det = par_snap.deterministic();
-        assert_eq!(seq_det.counters, par_det.counters);
-        assert_eq!(seq_det.histograms, par_det.histograms);
+        let (out, report, _) = run_at(4);
+        assert_eq!(crellvm_ir::printer::print_module(&cur), out);
+        let steps: Vec<_> = report
+            .steps
+            .into_iter()
+            .map(|s| (s.pass, s.func, s.outcome, s.proof_bytes))
+            .collect();
+        assert_eq!(reference, steps);
     }
 
     #[test]

@@ -1,22 +1,23 @@
-//! The `-O2`-style pipeline driver: runs the instrumented passes in
-//! LLVM-like order, validating every translation step.
+//! The vocabulary of a validation run: the pass list and the one
+//! name → pass dispatch ([`run_pass_function`], [`run_pass`]), the proof
+//! wire formats, and the step records and report that
+//! [`ValidationRun`](crate::ValidationRun) produces.
 //!
 //! Each *step* (one pass applied to one function) is the paper's
 //! validation unit (#V); its outcome is validated (`V`), failed (`#F`), or
 //! not supported (`#NS`), and the four time columns of Fig 6/8 are
 //! measured: `Orig` (the bare pass), `PCal` (pass + proof generation),
-//! `I/O` (JSON round-trip of the proof), and `PCheck` (the checker).
+//! `I/O` (encoding and decoding the proof), and `PCheck` (the checker).
 
 use crate::config::{PassConfig, PassOutcome};
 use crellvm_core::serialize_bin::EncodeScratch;
 use crellvm_core::{
-    proof_from_bytes, proof_from_json, proof_to_bytes_v2_into, proof_to_json,
-    validate_with_telemetry, CheckerConfig, ProofUnit, Verdict,
+    proof_from_bytes, proof_from_json, proof_to_bytes_v2_into, proof_to_json, ProofUnit,
 };
-use crellvm_ir::Module;
+use crellvm_ir::{Function, Module};
 use crellvm_telemetry::forensics::ForensicBundle;
 use crellvm_telemetry::{SpanNode, SpanTree, Telemetry};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// On-the-wire encoding of proofs between the compiler and the checker.
 ///
@@ -241,152 +242,59 @@ impl PipelineReport {
     }
 }
 
-/// The pass list of the experiment (the paper validates these four).
+/// The passes `crellvm opt` and the serving daemon run by default, in
+/// order; also the list of every pass name the engine knows.
 pub const PASS_ORDER: [&str; 4] = ["mem2reg", "instcombine", "gvn", "licm"];
 
-fn run_pass(name: &str, m: &Module, config: &PassConfig, tel: &Telemetry) -> PassOutcome {
+/// Run one pass, by name, over one function, recording the pass's domain
+/// counters into `tel`: the one place a pass name maps to code.
+///
+/// # Panics
+///
+/// If `name` is not in [`PASS_ORDER`].
+pub fn run_pass_function(
+    name: &str,
+    f: &Function,
+    config: &PassConfig,
+    tel: &Telemetry,
+) -> ProofUnit {
     match name {
-        "mem2reg" => crate::mem2reg_traced(m, config, tel),
-        "instcombine" => crate::instcombine_traced(m, config, tel),
-        "gvn" => crate::gvn_traced(m, config, tel),
-        "licm" => crate::licm_traced(m, config, tel),
+        "mem2reg" => crate::mem2reg::promote_function_traced(f, config, tel),
+        "instcombine" => crate::instcombine::instcombine_function_traced(f, config, tel),
+        "gvn" => crate::gvn::gvn_function_traced(f, config, tel),
+        "licm" => crate::licm::licm_function_traced(f, config, tel),
         other => panic!("unknown pass {other}"),
     }
 }
 
-/// Run one pass over a module with full validation instrumentation,
-/// merging results into `report`; returns the transformed module.
-pub fn run_validated_pass(
-    name: &str,
-    m: &Module,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    report: &mut PipelineReport,
-) -> Module {
-    run_validated_pass_with(name, m, config, checker, ProofFormat::Json, report)
-}
-
-/// [`run_validated_pass`] with an explicit proof wire format.
-pub fn run_validated_pass_with(
-    name: &str,
-    m: &Module,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    format: ProofFormat,
-    report: &mut PipelineReport,
-) -> Module {
-    run_validated_pass_traced(
-        name,
-        m,
-        config,
-        checker,
-        format,
-        &Telemetry::disabled(),
-        report,
-    )
-}
-
-/// [`run_validated_pass_with`] recording metrics (`pipeline.*`, `time.*`,
-/// and the per-pass domain counters) and trace events into `tel`.
-pub fn run_validated_pass_traced(
-    name: &str,
-    m: &Module,
-    config: &PassConfig,
-    checker: &CheckerConfig,
-    format: ProofFormat,
-    tel: &Telemetry,
-    report: &mut PipelineReport,
-) -> Module {
-    // Orig: the bare pass, with proof generation genuinely disabled
-    // (`gen_proofs = false` skips all proof bookkeeping while performing
-    // the identical transformation). Telemetry is disabled for this run
-    // so domain counters are not double-counted.
-    let t0 = Instant::now();
-    let _ = run_pass(name, m, &config.without_proofs(), &Telemetry::disabled());
-    let orig = t0.elapsed();
-    report.time_orig += orig;
-    tel.registry().record_duration("time.orig", orig);
-
-    let t1 = Instant::now();
-    let out = run_pass(name, m, config, tel);
-    let pcal = t1.elapsed();
-    report.time_pcal += pcal;
-    tel.registry().record_duration("time.pcal", pcal);
-
-    let mut scratch = CodecScratch::default();
-    for unit in &out.proofs {
-        tel.count("pipeline.steps", 1);
-
-        let t2 = Instant::now();
-        let wire_len = format.encode_into(unit, &mut scratch);
-        let decoded = format.decode_scratch(&mut scratch);
-        let io = t2.elapsed();
-        report.time_io += io;
-        tel.registry().record_duration("time.io", io);
-        tel.observe("pipeline.proof_bytes", wire_len as u64);
-        tel.count(format.bytes_counter(), wire_len as u64);
-
-        let t3 = Instant::now();
-        let outcome = match validate_with_telemetry(&decoded, checker, tel) {
-            Ok(Verdict::Valid) => {
-                tel.count("pipeline.validated", 1);
-                StepOutcome::Valid
-            }
-            Ok(Verdict::NotSupported(r)) => {
-                tel.count("pipeline.not_supported", 1);
-                StepOutcome::NotSupported(r)
-            }
-            Err(e) => {
-                tel.count("pipeline.failed", 1);
-                StepOutcome::Failed(e.to_string())
-            }
-        };
-        let pcheck = t3.elapsed();
-        report.time_pcheck += pcheck;
-        tel.registry().record_duration("time.pcheck", pcheck);
-
-        report.steps.push(StepRecord {
-            pass: name.to_string(),
-            func: unit.src.name.clone(),
-            outcome,
-            proof_bytes: wire_len,
-        });
-    }
-    out.module
-}
-
-/// Run the full `-O2`-like pipeline over a module, validating every step.
-pub fn run_pipeline(m: &Module, config: &PassConfig) -> (Module, PipelineReport) {
-    run_pipeline_traced(m, config, &Telemetry::disabled())
-}
-
-/// [`run_pipeline`] with metrics and trace events recorded into `tel`.
-pub fn run_pipeline_traced(
-    m: &Module,
-    config: &PassConfig,
-    tel: &Telemetry,
-) -> (Module, PipelineReport) {
-    let mut report = PipelineReport::default();
-    let checker = CheckerConfig::sound();
-    let mut cur = m.clone();
-    for pass in PASS_ORDER {
-        cur = run_validated_pass_traced(
-            pass,
-            &cur,
-            config,
-            &checker,
-            ProofFormat::Json,
-            tel,
-            &mut report,
-        );
-    }
-    (cur, report)
+/// Run one pass, by name, over every function of a module. Function `i`
+/// of the result's module is `proofs[i].tgt`, so functions that share a
+/// name stay apart.
+///
+/// # Panics
+///
+/// If `name` is not in [`PASS_ORDER`].
+pub fn run_pass(name: &str, m: &Module, config: &PassConfig) -> PassOutcome {
+    let tel = Telemetry::disabled();
+    let proofs: Vec<ProofUnit> = m
+        .functions
+        .iter()
+        .map(|f| run_pass_function(name, f, config, &tel))
+        .collect();
+    let module = Module {
+        globals: m.globals.clone(),
+        declares: m.declares.clone(),
+        functions: proofs.iter().map(|u| u.tgt.clone()).collect(),
+    };
+    PassOutcome { module, proofs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::BugSet;
+    use crate::parallel::{run_pipeline_parallel, ParallelOptions, ValidationRun};
+    use crellvm_core::CheckerConfig;
     use crellvm_interp::{check_refinement, run_main, RunConfig};
     use crellvm_ir::{parse_module, verify_module};
 
@@ -414,11 +322,25 @@ mod tests {
         }
     "#;
 
+    /// The whole pipeline on one worker, in the given proof wire format.
+    fn one_worker(
+        m: &Module,
+        config: &PassConfig,
+        format: ProofFormat,
+    ) -> (Module, PipelineReport) {
+        let opts = ParallelOptions {
+            jobs: 1,
+            format,
+            ..ParallelOptions::default()
+        };
+        run_pipeline_parallel(m, config, &opts, &Telemetry::disabled())
+    }
+
     #[test]
     fn pipeline_validates_and_preserves_behaviour() {
         let m = parse_module(PROGRAM).unwrap();
         verify_module(&m).unwrap();
-        let (out, report) = run_pipeline(&m, &PassConfig::default());
+        let (out, report) = one_worker(&m, &PassConfig::default(), ProofFormat::Json);
         verify_module(&out).unwrap();
         assert_eq!(report.failures(), 0, "steps: {:#?}", report.steps);
         assert!(report.validations() >= 4);
@@ -452,7 +374,7 @@ mod tests {
             pr28562: true,
             ..BugSet::default()
         });
-        let (_, report) = run_pipeline(&m, &config);
+        let (_, report) = one_worker(&m, &config, ProofFormat::Json);
         assert!(report.failures() > 0);
         let failing: Vec<_> = report
             .steps
@@ -465,8 +387,8 @@ mod tests {
     #[test]
     fn report_counts_and_merge() {
         let m = parse_module(PROGRAM).unwrap();
-        let (_, mut r1) = run_pipeline(&m, &PassConfig::default());
-        let (_, r2) = run_pipeline(&m, &PassConfig::default());
+        let (_, mut r1) = one_worker(&m, &PassConfig::default(), ProofFormat::Json);
+        let (_, r2) = one_worker(&m, &PassConfig::default(), ProofFormat::Json);
         let n = r1.validations();
         r1.merge(r2);
         assert_eq!(r1.validations(), 2 * n);
@@ -479,26 +401,9 @@ mod tests {
     fn binary_proof_formats_agree_with_json() {
         let m = parse_module(PROGRAM).unwrap();
         let config = PassConfig::default();
-        let checker = CheckerConfig::sound();
-        let mut jrep = PipelineReport::default();
-        let mut jm = m.clone();
-        for pass in PASS_ORDER {
-            jm =
-                run_validated_pass_with(pass, &jm, &config, &checker, ProofFormat::Json, &mut jrep);
-        }
+        let (jm, jrep) = one_worker(&m, &config, ProofFormat::Json);
         verify_module(&jm).unwrap();
-        let mut brep = PipelineReport::default();
-        let mut bm = m.clone();
-        for pass in PASS_ORDER {
-            bm = run_validated_pass_with(
-                pass,
-                &bm,
-                &config,
-                &checker,
-                ProofFormat::Binary,
-                &mut brep,
-            );
-        }
+        let (bm, brep) = one_worker(&m, &config, ProofFormat::Binary);
         assert_eq!(
             crellvm_ir::printer::print_module(&jm),
             crellvm_ir::printer::print_module(&bm)
@@ -507,6 +412,54 @@ mod tests {
         for (a, b) in jrep.steps.iter().zip(&brep.steps) {
             assert_eq!(a.outcome, b.outcome, "@{} ({})", a.func, a.pass);
             assert!(b.proof_bytes < a.proof_bytes, "not smaller at @{}", a.func);
+        }
+    }
+
+    #[test]
+    fn functions_with_the_same_name_stay_apart() {
+        // The parser and the verifier accept two definitions of @f; every
+        // pass result is placed by function index, never by name.
+        let m = parse_module(
+            r#"
+            define @f(i32 %n) -> i32 {
+            entry:
+              %p = alloca i32
+              store i32 %n, ptr %p
+              %a = load i32, ptr %p
+              ret i32 %a
+            }
+            define @f(i32 %n) -> i32 {
+            entry:
+              %p = alloca i32
+              %b = add i32 %n, 7
+              store i32 %b, ptr %p
+              %a = load i32, ptr %p
+              ret i32 %a
+            }
+            "#,
+        )
+        .unwrap();
+        verify_module(&m).unwrap();
+        let config = PassConfig::default();
+        let out = run_pass("mem2reg", &m, &config);
+
+        let checker = CheckerConfig::sound();
+        let opts = ParallelOptions {
+            jobs: 1,
+            ..ParallelOptions::default()
+        };
+        let tel = Telemetry::disabled();
+        let mut run = ValidationRun::new(&m, &config, &checker, &opts, &tel);
+        run.run_pass("mem2reg", &mut PipelineReport::default());
+        let engine = run.into_module();
+
+        assert_eq!(out.module.functions.len(), 2);
+        assert_ne!(out.module.functions[0], out.module.functions[1]);
+        for i in 0..2 {
+            assert_eq!(out.module.functions[i], out.proofs[i].tgt, "@f #{i}");
+            assert_eq!(out.module.functions[i], engine.functions[i], "@f #{i}");
+            // Promoted: the first body keeps no statement, the second its add.
+            assert_eq!(out.module.functions[i].stmt_count(), i, "@f #{i}");
         }
     }
 

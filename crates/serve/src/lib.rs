@@ -34,4 +34,4 @@ pub mod http;
 pub mod server;
 pub mod top;
 
-pub use server::{start, ServeConfig, ServerHandle, DEFAULT_PASSES};
+pub use server::{start, ServeConfig, ServerHandle};

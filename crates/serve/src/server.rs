@@ -23,7 +23,7 @@
 //! # Determinism contract
 //!
 //! The daemon runs the *same* engine as `crellvm opt` — one
-//! [`ValidationRun`] per request, same default passes, same
+//! [`ValidationRun`] per request, same default passes (`PASS_ORDER`), same
 //! `PassConfig`/`CheckerConfig`, same deterministic
 //! scatter-by-function-index step order — and renders verdict lines
 //! through the same [`format_step_line`] formatter. A `text/plain`
@@ -44,7 +44,7 @@ use crellvm_core::{CheckerConfig, ValidationCache};
 use crellvm_ir::{parse_module, verify_module, Module};
 use crellvm_passes::{
     format_step_line, ParallelOptions, PassConfig, PipelineReport, ProofFormat, StepOutcome,
-    ValidationRun,
+    ValidationRun, PASS_ORDER,
 };
 use crellvm_telemetry::json::Value;
 use crellvm_telemetry::{export::openmetrics, Registry, Telemetry};
@@ -54,12 +54,6 @@ use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// The pass list the daemon (and `crellvm opt`) runs by default.
-pub const DEFAULT_PASSES: [&str; 4] = ["mem2reg", "instcombine", "gvn", "licm"];
-
-/// Passes the engine knows how to run.
-const KNOWN_PASSES: [&str; 4] = ["mem2reg", "gvn", "licm", "instcombine"];
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -506,9 +500,9 @@ fn parse_validate_request(state: &ServerState, req: &Request) -> Result<Validate
     };
     verify_module(&module).map_err(|e| e.to_string())?;
     if passes.is_empty() {
-        passes = DEFAULT_PASSES.map(String::from).to_vec();
+        passes = PASS_ORDER.map(String::from).to_vec();
     }
-    if let Some(bad) = passes.iter().find(|p| !KNOWN_PASSES.contains(&p.as_str())) {
+    if let Some(bad) = passes.iter().find(|p| !PASS_ORDER.contains(&p.as_str())) {
         return Err(format!("unknown pass {bad}"));
     }
     Ok(ValidateRequest {

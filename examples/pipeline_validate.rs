@@ -8,8 +8,10 @@
 
 use crellvm::gen::{generate_module, GenConfig};
 use crellvm::interp::{check_refinement, run_main, RunConfig};
-use crellvm::passes::pipeline::{run_pipeline, StepOutcome};
-use crellvm::passes::PassConfig;
+use crellvm::passes::{
+    run_pipeline_parallel, ParallelOptions, PassConfig, ProofFormat, StepOutcome,
+};
+use crellvm::telemetry::Telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seed: u64 = std::env::args()
@@ -29,7 +31,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         module.functions.len()
     );
 
-    let (optimized, report) = run_pipeline(&module, &PassConfig::default());
+    // One worker with JSON proofs, the paper's wire format.
+    let opts = ParallelOptions {
+        jobs: 1,
+        format: ProofFormat::Json,
+        ..ParallelOptions::default()
+    };
+    let (optimized, report) = run_pipeline_parallel(
+        &module,
+        &PassConfig::default(),
+        &opts,
+        &Telemetry::disabled(),
+    );
 
     println!(
         "\n{:<14} {:<10} {:<14} {:>10}",

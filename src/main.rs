@@ -87,7 +87,7 @@ use crellvm::interp::{run_main, RunConfig, UndefPolicy};
 use crellvm::ir::{parse_module, printer::print_module, verify_module, Module};
 use crellvm::passes::{
     default_jobs, run_work_stealing, BugSet, ParallelOptions, PassConfig, PipelineReport,
-    ProofFormat, StepOutcome, ValidationRun,
+    ProofFormat, StepOutcome, ValidationRun, PASS_ORDER,
 };
 use crellvm::telemetry::export::{chrome_trace, openmetrics};
 use crellvm::telemetry::forensics::ForensicBundle;
@@ -127,8 +127,6 @@ fn load(path: &str) -> Result<Module, String> {
     verify_module(&m).map_err(|e| format!("{path}: {e}"))?;
     Ok(m)
 }
-
-const PASS_NAMES: [&str; 4] = ["mem2reg", "gvn", "licm", "instcombine"];
 
 fn parse_jobs(arg: Option<&String>) -> Result<usize, String> {
     let n: usize = arg
@@ -208,11 +206,9 @@ fn cmd_opt(args: &[String]) -> Result<ExitCode, String> {
         std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
     }
     if passes.is_empty() {
-        passes = ["mem2reg", "instcombine", "gvn", "licm"]
-            .map(String::from)
-            .to_vec();
+        passes = PASS_ORDER.map(String::from).to_vec();
     }
-    if let Some(bad) = passes.iter().find(|p| !PASS_NAMES.contains(&p.as_str())) {
+    if let Some(bad) = passes.iter().find(|p| !PASS_ORDER.contains(&p.as_str())) {
         return Err(format!("unknown pass {bad}"));
     }
     let cache = cache_dir.as_deref().map(open_cache).transpose()?;
@@ -945,8 +941,7 @@ fn cmd_fuzz(args: &[String]) -> Result<ExitCode, String> {
     // One progress unit per oracle step: seeds × passes, so the rate
     // column is the fuzzer's exec/s.
     let progress = progress_mode.map(|mode| {
-        let steps =
-            (cfg.seed_end - cfg.seed_start) * crellvm::passes::pipeline::PASS_ORDER.len() as u64;
+        let steps = (cfg.seed_end - cfg.seed_start) * PASS_ORDER.len() as u64;
         let p = Progress::new_with_alarms(mode, "fuzz", steps);
         p.start_ticker(PROGRESS_PERIOD);
         p

@@ -13,18 +13,7 @@ use crellvm::diff::diff_modules;
 use crellvm::erhl::{proof_from_json, proof_to_json, validate, Verdict};
 use crellvm::gen::{generate_module, GenConfig};
 use crellvm::ir::{parse_module, printer::print_module, verify_module};
-use crellvm::passes::pipeline::PASS_ORDER;
-use crellvm::passes::{gvn, instcombine, licm, mem2reg, PassConfig, PassOutcome};
-
-fn run_pass(name: &str, m: &crellvm::ir::Module, config: &PassConfig) -> PassOutcome {
-    match name {
-        "mem2reg" => mem2reg(m, config),
-        "gvn" => gvn(m, config),
-        "licm" => licm(m, config),
-        "instcombine" => instcombine(m, config),
-        other => panic!("unknown pass {other}"),
-    }
-}
+use crellvm::passes::{run_pass, PassConfig, PASS_ORDER};
 
 #[test]
 fn fig1_framework_flow() {

@@ -24,18 +24,7 @@ use crellvm::fuzz::oracle::{
 };
 use crellvm::gen::{generate_module, mutation_sites, BugClass, GenConfig, Mutation, MutationPlan};
 use crellvm::ir::Module;
-use crellvm::passes::pipeline::PASS_ORDER;
-use crellvm::passes::{gvn, instcombine, licm, mem2reg, PassConfig, PassOutcome};
-
-fn run_pass(name: &str, m: &Module, config: &PassConfig) -> PassOutcome {
-    match name {
-        "mem2reg" => mem2reg(m, config),
-        "instcombine" => instcombine(m, config),
-        "gvn" => gvn(m, config),
-        "licm" => licm(m, config),
-        other => panic!("unknown pass {other}"),
-    }
-}
+use crellvm::passes::{run_pass, PassConfig, PASS_ORDER};
 
 /// Discriminant key for grouping mutations into their class rows.
 fn variant(m: &Mutation) -> &'static str {

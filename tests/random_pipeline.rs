@@ -7,9 +7,21 @@
 
 use crellvm::gen::{generate_module, FeatureMix, GenConfig};
 use crellvm::interp::{check_refinement, run_main, RunConfig, UndefPolicy};
-use crellvm::ir::verify_module;
-use crellvm::passes::pipeline::{run_pipeline, StepOutcome};
-use crellvm::passes::PassConfig;
+use crellvm::ir::{verify_module, Module};
+use crellvm::passes::{
+    run_pipeline_parallel, ParallelOptions, PassConfig, PipelineReport, ProofFormat, StepOutcome,
+};
+use crellvm::telemetry::Telemetry;
+
+/// The validated pipeline on one worker, with the paper's JSON proofs.
+fn one_worker(m: &Module) -> (Module, PipelineReport) {
+    let opts = ParallelOptions {
+        jobs: 1,
+        format: ProofFormat::Json,
+        ..ParallelOptions::default()
+    };
+    run_pipeline_parallel(m, &PassConfig::default(), &opts, &Telemetry::disabled())
+}
 
 fn exercise(seed: u64, unsupported_rate: f64, mix: FeatureMix) {
     let cfg = GenConfig {
@@ -22,7 +34,7 @@ fn exercise(seed: u64, unsupported_rate: f64, mix: FeatureMix) {
     let m = generate_module(&cfg);
     verify_module(&m).unwrap_or_else(|e| panic!("seed {seed}: generated module invalid: {e}"));
 
-    let (out, report) = run_pipeline(&m, &PassConfig::default());
+    let (out, report) = one_worker(&m);
     verify_module(&out)
         .unwrap_or_else(|e| panic!("seed {seed}: optimized module invalid: {e}\n{out}"));
 
@@ -86,7 +98,7 @@ fn unsupported_rate_produces_ns_only_in_affected_passes() {
         ..GenConfig::default()
     };
     let m = generate_module(&cfg);
-    let (_, report) = run_pipeline(&m, &PassConfig::default());
+    let (_, report) = one_worker(&m);
     let ns_passes: std::collections::HashSet<&str> = report
         .steps
         .iter()

@@ -6,10 +6,18 @@
 
 use crellvm::gen::{generate_module, FeatureMix, GenConfig};
 use crellvm::interp::{check_refinement, run_main, RunConfig, UndefPolicy};
-use crellvm::passes::pipeline::{run_pipeline, StepOutcome};
-use crellvm::passes::PassConfig;
+use crellvm::passes::{
+    run_pipeline_parallel, ParallelOptions, PassConfig, ProofFormat, StepOutcome,
+};
+use crellvm::telemetry::Telemetry;
 
 fn sweep(range: std::ops::Range<u64>) {
+    // One worker, with the paper's JSON proofs.
+    let opts = ParallelOptions {
+        jobs: 1,
+        format: ProofFormat::Json,
+        ..ParallelOptions::default()
+    };
     let mut fails = Vec::new();
     for seed in range {
         let rate = if seed % 3 == 0 { 0.2 } else { 0.0 };
@@ -28,7 +36,8 @@ fn sweep(range: std::ops::Range<u64>) {
             ..GenConfig::default()
         };
         let m = generate_module(&cfg);
-        let (out, report) = run_pipeline(&m, &PassConfig::default());
+        let (out, report) =
+            run_pipeline_parallel(&m, &PassConfig::default(), &opts, &Telemetry::disabled());
         for step in &report.steps {
             if let StepOutcome::Failed(reason) = &step.outcome {
                 fails.push(format!(

@@ -3,7 +3,9 @@
 //! `gen_proofs = false` (`Orig`) mode.
 
 use crellvm::ir::{parse_module, printer::print_module};
-use crellvm::passes::{mem2reg, run_pipeline_traced, BugSet, PassConfig};
+use crellvm::passes::{
+    mem2reg, run_pipeline_parallel, BugSet, ParallelOptions, PassConfig, ProofFormat,
+};
 use crellvm::telemetry::{Event, Registry, Snapshot, Telemetry, Trace};
 use std::sync::Arc;
 
@@ -48,7 +50,12 @@ fn traced_run(src: &str, config: &PassConfig) -> (Snapshot, String, usize) {
     let registry = Arc::new(Registry::new());
     let (trace, buffer) = Trace::in_memory();
     let tel = Telemetry::with_registry(registry.clone()).with_trace(trace);
-    let (_, report) = run_pipeline_traced(&m, config, &tel);
+    let opts = ParallelOptions {
+        jobs: 1,
+        format: ProofFormat::Json,
+        ..ParallelOptions::default()
+    };
+    let (_, report) = run_pipeline_parallel(&m, config, &opts, &tel);
     (registry.snapshot(), buffer.contents(), report.validations())
 }
 
