@@ -1,4 +1,8 @@
 //! Parser for the textual `.cll` IR format produced by [`crate::printer`].
+//!
+//! The whole text is lexed in one pass before parsing starts, so a lex
+//! error on any line is reported before any parse error. Tokens borrow
+//! from the text: a name is copied once, when it enters the IR.
 
 use crate::constant::{Const, ConstExpr};
 use crate::function::{Block, BlockId, Function, Phi, RegId, Stmt};
@@ -8,6 +12,7 @@ use crate::types::Type;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A parse failure, with the 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,13 +31,15 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-#[derive(Debug, Clone, PartialEq)]
-enum Tok {
-    Ident(String),
-    Reg(String),
-    Global(String),
+/// A token, borrowing its text from the source. Its `Debug` form is what
+/// error messages quote.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Reg(&'a str),
+    Global(&'a str),
     Int(i64),
-    Str(String),
+    Str(&'a str),
     LParen,
     RParen,
     LBracket,
@@ -45,141 +52,130 @@ enum Tok {
     Arrow,
 }
 
-fn lex_line(line: &str, lineno: usize) -> Result<Vec<Tok>, ParseError> {
-    let mut toks = Vec::new();
-    let bytes: Vec<char> = line.chars().collect();
-    let mut i = 0;
-    let err = |msg: String| ParseError {
+fn is_name_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_' || c == '.'
+}
+
+/// Byte offset of the first character at or after `from` that fails `pred`.
+fn scan(line: &str, from: usize, pred: impl Fn(char) -> bool) -> usize {
+    line[from..]
+        .find(|c| !pred(c))
+        .map_or(line.len(), |j| from + j)
+}
+
+/// Lex one line, appending its tokens to `toks`.
+fn lex_line<'a>(line: &'a str, lineno: usize, toks: &mut Vec<Tok<'a>>) -> Result<(), ParseError> {
+    let err = |message: String| ParseError {
         line: lineno,
-        message: msg,
+        message,
     };
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            ' ' | '\t' | '\r' => i += 1,
+    let mut i = 0;
+    while let Some(c) = line[i..].chars().next() {
+        let next = i + c.len_utf8();
+        let (tok, end) = match c {
+            ' ' | '\t' | '\r' => {
+                i = next;
+                continue;
+            }
             ';' => break,
-            '(' => {
-                toks.push(Tok::LParen);
-                i += 1;
-            }
-            ')' => {
-                toks.push(Tok::RParen);
-                i += 1;
-            }
-            '[' => {
-                toks.push(Tok::LBracket);
-                i += 1;
-            }
-            ']' => {
-                toks.push(Tok::RBracket);
-                i += 1;
-            }
-            '{' => {
-                toks.push(Tok::LBrace);
-                i += 1;
-            }
-            '}' => {
-                toks.push(Tok::RBrace);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Tok::Comma);
-                i += 1;
-            }
-            ':' => {
-                toks.push(Tok::Colon);
-                i += 1;
-            }
-            '=' => {
-                toks.push(Tok::Eq);
-                i += 1;
-            }
+            '(' => (Tok::LParen, next),
+            ')' => (Tok::RParen, next),
+            '[' => (Tok::LBracket, next),
+            ']' => (Tok::RBracket, next),
+            '{' => (Tok::LBrace, next),
+            '}' => (Tok::RBrace, next),
+            ',' => (Tok::Comma, next),
+            ':' => (Tok::Colon, next),
+            '=' => (Tok::Eq, next),
             '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != '"' {
-                    j += 1;
-                }
-                if j == bytes.len() {
+                let Some(len) = line[next..].find('"') else {
                     return Err(err("unterminated string".into()));
-                }
-                toks.push(Tok::Str(bytes[start..j].iter().collect()));
-                i = j + 1;
+                };
+                (Tok::Str(&line[next..next + len]), next + len + 1)
             }
             '%' | '@' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len()
-                    && (bytes[j].is_alphanumeric() || bytes[j] == '_' || bytes[j] == '.')
-                {
-                    j += 1;
-                }
-                if j == start {
+                let end = scan(line, next, is_name_char);
+                if end == next {
                     return Err(err(format!("expected name after '{c}'")));
                 }
-                let name: String = bytes[start..j].iter().collect();
-                toks.push(if c == '%' {
-                    Tok::Reg(name)
-                } else {
-                    Tok::Global(name)
-                });
-                i = j;
+                let name = &line[next..end];
+                (
+                    if c == '%' {
+                        Tok::Reg(name)
+                    } else {
+                        Tok::Global(name)
+                    },
+                    end,
+                )
             }
-            '-' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == '>' {
-                    toks.push(Tok::Arrow);
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit() {
-                    let mut j = i + 1;
-                    while j < bytes.len() && bytes[j].is_ascii_digit() {
-                        j += 1;
-                    }
-                    let s: String = bytes[i..j].iter().collect();
-                    toks.push(Tok::Int(
-                        s.parse().map_err(|_| err(format!("bad integer {s}")))?,
-                    ));
-                    i = j;
-                } else {
+            '-' if line[next..].starts_with('>') => (Tok::Arrow, next + 1),
+            '-' | '0'..='9' => {
+                let end = scan(line, next, |d| d.is_ascii_digit());
+                if end == next && c == '-' {
                     return Err(err("stray '-'".into()));
                 }
-            }
-            c if c.is_ascii_digit() => {
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let s: String = bytes[i..j].iter().collect();
-                let v: i64 = s
+                // Literals past `i64::MAX` keep their 64-bit pattern.
+                let s = &line[i..end];
+                let v = s
                     .parse::<i64>()
                     .or_else(|_| s.parse::<u64>().map(|u| u as i64))
                     .map_err(|_| err(format!("bad integer {s}")))?;
-                toks.push(Tok::Int(v));
-                i = j;
+                (Tok::Int(v), end)
             }
             c if c.is_alphabetic() || c == '_' => {
-                let mut j = i;
-                while j < bytes.len()
-                    && (bytes[j].is_alphanumeric() || bytes[j] == '_' || bytes[j] == '.')
-                {
-                    j += 1;
-                }
-                toks.push(Tok::Ident(bytes[i..j].iter().collect()));
-                i = j;
+                let end = scan(line, next, is_name_char);
+                (Tok::Ident(&line[i..end]), end)
             }
             other => return Err(err(format!("unexpected character '{other}'"))),
+        };
+        toks.push(tok);
+        i = end;
+    }
+    Ok(())
+}
+
+/// The tokens of a whole text, with one row per line that has any: its
+/// 1-based number and the range of its tokens.
+struct Lexed<'a> {
+    toks: Vec<Tok<'a>>,
+    lines: Vec<(usize, Range<usize>)>,
+}
+
+impl<'a> Lexed<'a> {
+    fn new(text: &'a str) -> Result<Lexed<'a>, ParseError> {
+        let mut lexed = Lexed {
+            toks: Vec::new(),
+            lines: Vec::new(),
+        };
+        for (i, line) in text.lines().enumerate() {
+            let start = lexed.toks.len();
+            lex_line(line, i + 1, &mut lexed.toks)?;
+            if lexed.toks.len() > start {
+                lexed.lines.push((i + 1, start..lexed.toks.len()));
+            }
+        }
+        Ok(lexed)
+    }
+
+    /// A cursor over row `k`.
+    fn cursor(&self, k: usize) -> Cursor<'_> {
+        let (line, range) = &self.lines[k];
+        Cursor {
+            toks: &self.toks[range.clone()],
+            pos: 0,
+            line: *line,
         }
     }
-    Ok(toks)
 }
 
 /// A cursor over one line's tokens.
-struct Cursor {
-    toks: Vec<Tok>,
+struct Cursor<'a> {
+    toks: &'a [Tok<'a>],
     pos: usize,
     line: usize,
 }
 
-impl Cursor {
+impl<'a> Cursor<'a> {
     fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             line: self.line,
@@ -187,26 +183,26 @@ impl Cursor {
         }
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Tok<'a>) -> Result<(), ParseError> {
         match self.next() {
             Some(got) if got == t => Ok(()),
             got => Err(self.err(format!("expected {t:?}, got {got:?}"))),
         }
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok<'a>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -215,16 +211,52 @@ impl Cursor {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             got => Err(self.err(format!("expected identifier, got {got:?}"))),
         }
     }
 
+    /// The identifier `kw`, or an "expected 'kw'" error with `context`.
+    fn keyword(&mut self, kw: &str, context: &str) -> Result<(), ParseError> {
+        if self.ident()? == kw {
+            Ok(())
+        } else {
+            Err(self.err(format!("expected '{kw}'{context}")))
+        }
+    }
+
+    fn global(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        match self.next() {
+            Some(Tok::Global(g)) => Ok(g),
+            got => Err(self.err(format!("expected @{what}, got {got:?}"))),
+        }
+    }
+
     fn ty(&mut self) -> Result<Type, ParseError> {
         let s = self.ident()?;
         s.parse().map_err(|_| self.err(format!("unknown type {s}")))
+    }
+
+    /// A return type: `void` or a type.
+    fn ret_ty(&mut self) -> Result<Option<Type>, ParseError> {
+        match self.ident()? {
+            "void" => Ok(None),
+            s => s
+                .parse()
+                .map(Some)
+                .map_err(|_| self.err(format!("bad return type {s}"))),
+        }
+    }
+
+    /// An optional `-> type`.
+    fn arrow_ty(&mut self) -> Result<Option<Type>, ParseError> {
+        if self.eat(Tok::Arrow) {
+            self.ty().map(Some)
+        } else {
+            Ok(None)
+        }
     }
 
     fn int(&mut self) -> Result<i64, ParseError> {
@@ -234,26 +266,55 @@ impl Cursor {
         }
     }
 
+    /// Comma-separated items up to `close` (its opener already eaten).
+    fn list<T>(
+        &mut self,
+        close: Tok<'a>,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut items = Vec::new();
+        if !self.eat(close) {
+            loop {
+                items.push(item(self)?);
+                if self.eat(close) {
+                    break;
+                }
+                self.expect(Tok::Comma)?;
+            }
+        }
+        Ok(items)
+    }
+
     fn done(&self) -> bool {
         self.pos >= self.toks.len()
     }
 }
 
-/// Function-scoped parse state mapping names to ids.
-struct FnCtx {
-    regs: HashMap<String, RegId>,
-    blocks: HashMap<String, BlockId>,
+/// The integer literal `v` of type `ty`. Only integer types have them:
+/// a literal typed `ptr` or `void` is an error, not a panic later.
+fn int_literal(cur: &Cursor, ty: Type, v: i64) -> Result<u64, ParseError> {
+    if ty.is_int() {
+        Ok(ty.truncate(v as u64))
+    } else {
+        Err(cur.err(format!("integer literal {v} of non-integer type {ty}")))
+    }
 }
 
-impl FnCtx {
-    fn reg(&mut self, f: &mut Function, name: &str) -> RegId {
-        if let Some(&r) = self.regs.get(name) {
-            r
-        } else {
-            let r = f.fresh_reg(name);
-            self.regs.insert(name.to_string(), r);
-            r
-        }
+/// The function being parsed, with its names in scope. Registers are
+/// numbered in the order their names first appear, parameters first.
+struct FnCtx<'a> {
+    func: Function,
+    regs: HashMap<&'a str, RegId>,
+    blocks: HashMap<&'a str, BlockId>,
+}
+
+impl<'a> FnCtx<'a> {
+    fn reg(&mut self, name: &'a str) -> RegId {
+        let func = &mut self.func;
+        *self
+            .regs
+            .entry(name)
+            .or_insert_with(|| func.fresh_reg(name))
     }
 
     fn block(&self, cur: &Cursor, name: &str) -> Result<BlockId, ParseError> {
@@ -278,109 +339,103 @@ fn parse_const(cur: &mut Cursor, ty: Type, depth: usize) -> Result<Const, ParseE
         )));
     }
     match cur.next() {
-        Some(Tok::Int(v)) => Ok(Const::int(ty, v)),
-        Some(Tok::Global(g)) => Ok(Const::Global(g)),
-        Some(Tok::Ident(id)) => match id.as_str() {
-            "undef" => Ok(Const::Undef(ty)),
-            "null" => Ok(Const::Null),
-            "ptrtoint" => {
-                cur.expect(Tok::LParen)?;
-                let inner = parse_const(cur, Type::Ptr, depth + 1)?;
-                let to_kw = cur.ident()?;
-                if to_kw != "to" {
-                    return Err(cur.err("expected 'to' in ptrtoint constexpr"));
-                }
-                let to = cur.ty()?;
-                cur.expect(Tok::RParen)?;
-                Ok(ConstExpr::PtrToInt(inner, to).into())
-            }
-            op_name => {
-                let op: BinOp = op_name
-                    .parse()
-                    .map_err(|_| cur.err(format!("unknown constant head '{op_name}'")))?;
-                cur.expect(Tok::LParen)?;
-                let ety = cur.ty()?;
-                let a = parse_const(cur, ety, depth + 1)?;
-                cur.expect(Tok::Comma)?;
-                let b = parse_const(cur, ety, depth + 1)?;
-                cur.expect(Tok::RParen)?;
-                Ok(ConstExpr::Bin(op, ety, a, b).into())
-            }
-        },
+        Some(Tok::Int(v)) => Ok(Const::Int {
+            ty,
+            bits: int_literal(cur, ty, v)?,
+        }),
+        Some(Tok::Global(g)) => Ok(Const::Global(g.to_string())),
+        Some(Tok::Ident("undef")) => Ok(Const::Undef(ty)),
+        Some(Tok::Ident("null")) => Ok(Const::Null),
+        Some(Tok::Ident("ptrtoint")) => {
+            cur.expect(Tok::LParen)?;
+            let inner = parse_const(cur, Type::Ptr, depth + 1)?;
+            cur.keyword("to", " in ptrtoint constexpr")?;
+            let to = cur.ty()?;
+            cur.expect(Tok::RParen)?;
+            Ok(ConstExpr::PtrToInt(inner, to).into())
+        }
+        Some(Tok::Ident(op_name)) => {
+            let op: BinOp = op_name
+                .parse()
+                .map_err(|_| cur.err(format!("unknown constant head '{op_name}'")))?;
+            cur.expect(Tok::LParen)?;
+            let ety = cur.ty()?;
+            let a = parse_const(cur, ety, depth + 1)?;
+            cur.expect(Tok::Comma)?;
+            let b = parse_const(cur, ety, depth + 1)?;
+            cur.expect(Tok::RParen)?;
+            Ok(ConstExpr::Bin(op, ety, a, b).into())
+        }
         got => Err(cur.err(format!("expected constant, got {got:?}"))),
     }
 }
 
-fn parse_value(
-    cur: &mut Cursor,
-    f: &mut Function,
-    ctx: &mut FnCtx,
+fn parse_value<'a>(
+    cur: &mut Cursor<'a>,
+    ctx: &mut FnCtx<'a>,
     ty: Type,
 ) -> Result<Value, ParseError> {
-    if let Some(Tok::Reg(name)) = cur.peek().cloned() {
+    if let Some(Tok::Reg(name)) = cur.peek() {
         cur.next();
-        Ok(Value::Reg(ctx.reg(f, &name)))
+        Ok(Value::Reg(ctx.reg(name)))
     } else {
         Ok(Value::Const(parse_const(cur, ty, 0)?))
     }
 }
 
 /// Parse `ty value` (a typed operand).
-fn parse_typed_value(
-    cur: &mut Cursor,
-    f: &mut Function,
-    ctx: &mut FnCtx,
+fn parse_typed_value<'a>(
+    cur: &mut Cursor<'a>,
+    ctx: &mut FnCtx<'a>,
 ) -> Result<(Type, Value), ParseError> {
     let ty = cur.ty()?;
-    let v = parse_value(cur, f, ctx, ty)?;
+    let v = parse_value(cur, ctx, ty)?;
     Ok((ty, v))
 }
 
-fn parse_rhs(
-    cur: &mut Cursor,
-    f: &mut Function,
-    ctx: &mut FnCtx,
+/// Parse `ty lhs, rhs`.
+fn parse_operands<'a>(
+    cur: &mut Cursor<'a>,
+    ctx: &mut FnCtx<'a>,
+) -> Result<(Type, Value, Value), ParseError> {
+    let (ty, lhs) = parse_typed_value(cur, ctx)?;
+    cur.expect(Tok::Comma)?;
+    let rhs = parse_value(cur, ctx, ty)?;
+    Ok((ty, lhs, rhs))
+}
+
+fn parse_rhs<'a>(
+    cur: &mut Cursor<'a>,
+    ctx: &mut FnCtx<'a>,
     head: &str,
 ) -> Result<Inst, ParseError> {
     if let Ok(op) = head.parse::<BinOp>() {
-        let ty = cur.ty()?;
-        let lhs = parse_value(cur, f, ctx, ty)?;
-        cur.expect(Tok::Comma)?;
-        let rhs = parse_value(cur, f, ctx, ty)?;
+        let (ty, lhs, rhs) = parse_operands(cur, ctx)?;
         return Ok(Inst::Bin { op, ty, lhs, rhs });
     }
     if let Ok(op) = head.parse::<CastOp>() {
-        let from = cur.ty()?;
-        let val = parse_value(cur, f, ctx, from)?;
-        let kw = cur.ident()?;
-        if kw != "to" {
-            return Err(cur.err("expected 'to' in cast"));
-        }
+        let (from, val) = parse_typed_value(cur, ctx)?;
+        cur.keyword("to", " in cast")?;
         let to = cur.ty()?;
         return Ok(Inst::Cast { op, from, val, to });
     }
     match head {
         "icmp" => {
-            let pred: IcmpPred = {
-                let s = cur.ident()?;
-                s.parse()
-                    .map_err(|_| cur.err(format!("unknown icmp predicate {s}")))?
-            };
-            let ty = cur.ty()?;
-            let lhs = parse_value(cur, f, ctx, ty)?;
-            cur.expect(Tok::Comma)?;
-            let rhs = parse_value(cur, f, ctx, ty)?;
+            let s = cur.ident()?;
+            let pred: IcmpPred = s
+                .parse()
+                .map_err(|_| cur.err(format!("unknown icmp predicate {s}")))?;
+            let (ty, lhs, rhs) = parse_operands(cur, ctx)?;
             Ok(Inst::Icmp { pred, ty, lhs, rhs })
         }
         "select" => {
             let _i1 = cur.ty()?;
-            let cond = parse_value(cur, f, ctx, Type::I1)?;
+            let cond = parse_value(cur, ctx, Type::I1)?;
             cur.expect(Tok::Comma)?;
-            let ty = cur.ty()?;
-            let on_true = parse_value(cur, f, ctx, ty)?;
+            let (ty, on_true) = parse_typed_value(cur, ctx)?;
             cur.expect(Tok::Comma)?;
             let _ty2 = cur.ty()?;
-            let on_false = parse_value(cur, f, ctx, ty)?;
+            let on_false = parse_value(cur, ctx, ty)?;
             Ok(Inst::Select {
                 ty,
                 cond,
@@ -390,7 +445,7 @@ fn parse_rhs(
         }
         "alloca" => {
             let ty = cur.ty()?;
-            let count = if cur.eat(&Tok::Comma) {
+            let count = if cur.eat(Tok::Comma) {
                 cur.int()? as u64
             } else {
                 1
@@ -401,30 +456,23 @@ fn parse_rhs(
             let ty = cur.ty()?;
             cur.expect(Tok::Comma)?;
             let _ptr_ty = cur.ty()?;
-            let ptr = parse_value(cur, f, ctx, Type::Ptr)?;
+            let ptr = parse_value(cur, ctx, Type::Ptr)?;
             Ok(Inst::Load { ty, ptr })
         }
         "store" => {
-            let ty = cur.ty()?;
-            let val = parse_value(cur, f, ctx, ty)?;
+            let (ty, val) = parse_typed_value(cur, ctx)?;
             cur.expect(Tok::Comma)?;
             let _ptr_ty = cur.ty()?;
-            let ptr = parse_value(cur, f, ctx, Type::Ptr)?;
+            let ptr = parse_value(cur, ctx, Type::Ptr)?;
             Ok(Inst::Store { ty, val, ptr })
         }
         "gep" => {
-            let mut inbounds = false;
-            if let Some(Tok::Ident(id)) = cur.peek() {
-                if id == "inbounds" {
-                    inbounds = true;
-                    cur.next();
-                }
-            }
+            let inbounds = cur.eat(Tok::Ident("inbounds"));
             let _ptr_ty = cur.ty()?;
-            let ptr = parse_value(cur, f, ctx, Type::Ptr)?;
+            let ptr = parse_value(cur, ctx, Type::Ptr)?;
             cur.expect(Tok::Comma)?;
             let _off_ty = cur.ty()?;
-            let offset = parse_value(cur, f, ctx, Type::I64)?;
+            let offset = parse_value(cur, ctx, Type::I64)?;
             Ok(Inst::Gep {
                 inbounds,
                 ptr,
@@ -432,150 +480,196 @@ fn parse_rhs(
             })
         }
         "call" => {
-            let ret_s = cur.ident()?;
-            let ret = if ret_s == "void" {
-                None
-            } else {
-                Some(
-                    ret_s
-                        .parse::<Type>()
-                        .map_err(|_| cur.err(format!("bad return type {ret_s}")))?,
-                )
-            };
-            let callee = match cur.next() {
-                Some(Tok::Global(g)) => g,
-                got => return Err(cur.err(format!("expected @callee, got {got:?}"))),
-            };
+            let ret = cur.ret_ty()?;
+            let callee = cur.global("callee")?.to_string();
             cur.expect(Tok::LParen)?;
-            let mut args = Vec::new();
-            if !cur.eat(&Tok::RParen) {
-                loop {
-                    args.push(parse_typed_value(cur, f, ctx)?);
-                    if cur.eat(&Tok::RParen) {
-                        break;
-                    }
-                    cur.expect(Tok::Comma)?;
-                }
-            }
+            let args = cur.list(Tok::RParen, |cur| parse_typed_value(cur, ctx))?;
             Ok(Inst::Call { ret, callee, args })
         }
         "unsupported" => match cur.next() {
-            Some(Tok::Str(s)) => Ok(Inst::Unsupported { feature: s }),
+            Some(Tok::Str(s)) => Ok(Inst::Unsupported {
+                feature: s.to_string(),
+            }),
             got => Err(cur.err(format!("expected feature string, got {got:?}"))),
         },
         other => Err(cur.err(format!("unknown instruction '{other}'"))),
     }
 }
 
-fn parse_term(
-    cur: &mut Cursor,
-    f: &mut Function,
-    ctx: &mut FnCtx,
+/// Parse a terminator, or `None` when `head` names none.
+fn parse_term<'a>(
+    cur: &mut Cursor<'a>,
+    ctx: &mut FnCtx<'a>,
     head: &str,
-) -> Result<Term, ParseError> {
-    match head {
-        "ret" => {
-            let s = cur.ident()?;
-            if s == "void" {
-                Ok(Term::Ret(None))
-            } else {
-                let ty: Type = s
-                    .parse()
-                    .map_err(|_| cur.err(format!("bad return type {s}")))?;
-                let v = parse_value(cur, f, ctx, ty)?;
-                Ok(Term::Ret(Some((ty, v))))
-            }
-        }
-        "br" => {
-            let s = cur.ident()?;
-            if s == "label" {
+) -> Result<Option<Term>, ParseError> {
+    let term = match head {
+        "ret" => match cur.ret_ty()? {
+            None => Term::Ret(None),
+            Some(ty) => Term::Ret(Some((ty, parse_value(cur, ctx, ty)?))),
+        },
+        "br" => match cur.ident()? {
+            "label" => {
                 let name = cur.ident()?;
-                Ok(Term::Br(ctx.block(cur, &name)?))
-            } else if s == "i1" {
-                let cond = parse_value(cur, f, ctx, Type::I1)?;
+                Term::Br(ctx.block(cur, name)?)
+            }
+            "i1" => {
+                let cond = parse_value(cur, ctx, Type::I1)?;
                 cur.expect(Tok::Comma)?;
-                let kw = cur.ident()?;
-                if kw != "label" {
-                    return Err(cur.err("expected 'label'"));
-                }
+                cur.keyword("label", "")?;
                 let t = cur.ident()?;
                 cur.expect(Tok::Comma)?;
-                let kw = cur.ident()?;
-                if kw != "label" {
-                    return Err(cur.err("expected 'label'"));
-                }
+                cur.keyword("label", "")?;
                 let e = cur.ident()?;
-                Ok(Term::CondBr {
+                Term::CondBr {
                     cond,
-                    if_true: ctx.block(cur, &t)?,
-                    if_false: ctx.block(cur, &e)?,
-                })
-            } else {
-                Err(cur.err("expected 'label' or 'i1' after br"))
-            }
-        }
-        "switch" => {
-            let ty = cur.ty()?;
-            let val = parse_value(cur, f, ctx, ty)?;
-            cur.expect(Tok::Comma)?;
-            let kw = cur.ident()?;
-            if kw != "label" {
-                return Err(cur.err("expected 'label'"));
-            }
-            let default = {
-                let name = cur.ident()?;
-                ctx.block(cur, &name)?
-            };
-            cur.expect(Tok::LBracket)?;
-            let mut cases = Vec::new();
-            if !cur.eat(&Tok::RBracket) {
-                loop {
-                    let v = cur.int()?;
-                    cur.expect(Tok::Colon)?;
-                    let name = cur.ident()?;
-                    cases.push((ty.truncate(v as u64), ctx.block(cur, &name)?));
-                    if cur.eat(&Tok::RBracket) {
-                        break;
-                    }
-                    cur.expect(Tok::Comma)?;
+                    if_true: ctx.block(cur, t)?,
+                    if_false: ctx.block(cur, e)?,
                 }
             }
-            Ok(Term::Switch {
+            _ => return Err(cur.err("expected 'label' or 'i1' after br")),
+        },
+        "switch" => {
+            let (ty, val) = parse_typed_value(cur, ctx)?;
+            cur.expect(Tok::Comma)?;
+            cur.keyword("label", "")?;
+            let name = cur.ident()?;
+            let default = ctx.block(cur, name)?;
+            cur.expect(Tok::LBracket)?;
+            let cases = cur.list(Tok::RBracket, |cur| {
+                let v = cur.int()?;
+                cur.expect(Tok::Colon)?;
+                let name = cur.ident()?;
+                Ok((int_literal(cur, ty, v)?, ctx.block(cur, name)?))
+            })?;
+            Term::Switch {
                 ty,
                 val,
                 default,
                 cases,
-            })
+            }
         }
-        "unreachable" => Ok(Term::Unreachable),
-        other => Err(cur.err(format!("unknown terminator '{other}'"))),
-    }
+        "unreachable" => Term::Unreachable,
+        _ => return Ok(None),
+    };
+    Ok(Some(term))
 }
 
-fn parse_phi(cur: &mut Cursor, f: &mut Function, ctx: &mut FnCtx) -> Result<Phi, ParseError> {
+fn parse_phi<'a>(cur: &mut Cursor<'a>, ctx: &mut FnCtx<'a>) -> Result<Phi, ParseError> {
     let ty = cur.ty()?;
     let mut incoming = Vec::new();
     loop {
         cur.expect(Tok::LBracket)?;
-        let v = if let Some(Tok::Ident(id)) = cur.peek() {
-            if id == "_" {
-                cur.next();
-                None
-            } else {
-                Some(parse_value(cur, f, ctx, ty)?)
-            }
+        let v = if cur.eat(Tok::Ident("_")) {
+            None
         } else {
-            Some(parse_value(cur, f, ctx, ty)?)
+            Some(parse_value(cur, ctx, ty)?)
         };
         cur.expect(Tok::Comma)?;
         let label = cur.ident()?;
         cur.expect(Tok::RBracket)?;
-        incoming.push((ctx.block(cur, &label)?, v));
-        if !cur.eat(&Tok::Comma) {
+        incoming.push((ctx.block(cur, label)?, v));
+        if !cur.eat(Tok::Comma) {
             break;
         }
     }
     Ok(Phi { ty, incoming })
+}
+
+/// Parse one body line into block `bid`.
+fn parse_line<'a>(
+    cur: &mut Cursor<'a>,
+    ctx: &mut FnCtx<'a>,
+    bid: BlockId,
+) -> Result<(), ParseError> {
+    // Result-producing statement or phi?
+    if let Some(Tok::Reg(res_name)) = cur.peek() {
+        cur.next();
+        cur.expect(Tok::Eq)?;
+        let res = ctx.reg(res_name);
+        let head = cur.ident()?;
+        if head == "phi" {
+            let phi = parse_phi(cur, ctx)?;
+            ctx.func.block_mut(bid).phis.push((res, phi));
+        } else {
+            let inst = parse_rhs(cur, ctx, head)?;
+            ctx.func.block_mut(bid).stmts.push(Stmt {
+                result: Some(res),
+                inst,
+            });
+        }
+    } else {
+        let head = cur.ident()?;
+        if let Some(term) = parse_term(cur, ctx, head)? {
+            ctx.func.block_mut(bid).term = term;
+        } else {
+            let inst = parse_rhs(cur, ctx, head)?;
+            ctx.func
+                .block_mut(bid)
+                .stmts
+                .push(Stmt { result: None, inst });
+        }
+    }
+    if cur.done() {
+        Ok(())
+    } else {
+        Err(cur.err("trailing tokens"))
+    }
+}
+
+/// Parse a `define` whose header follows `cur` and whose body starts at
+/// row `first`. Returns the function and the row after its closing brace.
+fn parse_define(
+    lexed: &Lexed,
+    cur: &mut Cursor,
+    first: usize,
+) -> Result<(Function, usize), ParseError> {
+    let name = cur.global("name")?;
+    cur.expect(Tok::LParen)?;
+    let params = cur.list(Tok::RParen, |cur| {
+        let ty = cur.ty()?;
+        match cur.next() {
+            Some(Tok::Reg(r)) => Ok((ty, r)),
+            got => Err(cur.err(format!("expected %param, got {got:?}"))),
+        }
+    })?;
+    let ret = cur.arrow_ty()?;
+    cur.expect(Tok::LBrace)?;
+    let mut ctx = FnCtx {
+        func: Function::new(name, ret),
+        regs: HashMap::new(),
+        blocks: HashMap::new(),
+    };
+    for (ty, pname) in params {
+        let r = ctx.func.add_param(ty, pname);
+        ctx.regs.insert(pname, r);
+    }
+
+    // Find the closing brace and pre-create blocks for all labels.
+    let end = (first..lexed.lines.len())
+        .find(|&k| matches!(lexed.cursor(k).toks, [Tok::RBrace]))
+        .ok_or_else(|| cur.err("unclosed function body"))?;
+    for k in first..end {
+        let label_line = lexed.cursor(k);
+        if let [Tok::Ident(label), Tok::Colon] = *label_line.toks {
+            if ctx.blocks.contains_key(label) {
+                return Err(label_line.err(format!("duplicate label {label}")));
+            }
+            let b = ctx.func.add_block(Block::new(label));
+            ctx.blocks.insert(label, b);
+        }
+    }
+
+    let mut current: Option<BlockId> = None;
+    for k in first..end {
+        let mut cur = lexed.cursor(k);
+        if let [Tok::Ident(label), Tok::Colon] = *cur.toks {
+            current = Some(ctx.blocks[label]);
+            continue;
+        }
+        let bid = current.ok_or_else(|| cur.err("instruction before first label"))?;
+        parse_line(&mut cur, &mut ctx, bid)?;
+    }
+    Ok((ctx.func, end + 1))
 }
 
 /// Parse a whole module from text.
@@ -584,39 +678,25 @@ fn parse_phi(cur: &mut Cursor, f: &mut Function, ctx: &mut FnCtx) -> Result<Phi,
 ///
 /// Returns a [`ParseError`] with the offending line on malformed input.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
+    let lexed = Lexed::new(text)?;
     let mut module = Module::new();
-    let lines: Vec<(usize, Vec<Tok>)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| lex_line(l, i + 1).map(|t| (i + 1, t)))
-        .collect::<Result<_, _>>()?;
-    let lines: Vec<(usize, Vec<Tok>)> = lines.into_iter().filter(|(_, t)| !t.is_empty()).collect();
-
     let mut i = 0;
-    while i < lines.len() {
-        let (lineno, toks) = &lines[i];
-        let mut cur = Cursor {
-            toks: toks.clone(),
-            pos: 0,
-            line: *lineno,
-        };
-        let head = cur.ident()?;
-        match head.as_str() {
+    while i < lexed.lines.len() {
+        let mut cur = lexed.cursor(i);
+        i += 1;
+        match cur.ident()? {
             "global" => {
-                let name = match cur.next() {
-                    Some(Tok::Global(g)) => g,
-                    got => return Err(cur.err(format!("expected @name, got {got:?}"))),
-                };
+                let name = cur.global("name")?.to_string();
                 cur.expect(Tok::Colon)?;
                 let ty = cur.ty()?;
-                let size = if cur.eat(&Tok::LBracket) {
+                let size = if cur.eat(Tok::LBracket) {
                     let s = cur.int()? as u64;
                     cur.expect(Tok::RBracket)?;
                     s
                 } else {
                     1
                 };
-                let init = if cur.eat(&Tok::Eq) {
+                let init = if cur.eat(Tok::Eq) {
                     Some(parse_const(&mut cur, ty, 0)?)
                 } else {
                     None
@@ -627,156 +707,20 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                     size,
                     init,
                 });
-                i += 1;
             }
             "declare" => {
-                let name = match cur.next() {
-                    Some(Tok::Global(g)) => g,
-                    got => return Err(cur.err(format!("expected @name, got {got:?}"))),
-                };
+                let name = cur.global("name")?.to_string();
                 cur.expect(Tok::LParen)?;
-                let mut params = Vec::new();
-                if !cur.eat(&Tok::RParen) {
-                    loop {
-                        params.push(cur.ty()?);
-                        if cur.eat(&Tok::RParen) {
-                            break;
-                        }
-                        cur.expect(Tok::Comma)?;
-                    }
-                }
-                let ret = if cur.eat(&Tok::Arrow) {
-                    Some(cur.ty()?)
-                } else {
-                    None
-                };
+                let params = cur.list(Tok::RParen, Cursor::ty)?;
+                let ret = cur.arrow_ty()?;
                 module.declares.push(ExternDecl { name, ret, params });
-                i += 1;
             }
             "define" => {
-                let name = match cur.next() {
-                    Some(Tok::Global(g)) => g,
-                    got => return Err(cur.err(format!("expected @name, got {got:?}"))),
-                };
-                cur.expect(Tok::LParen)?;
-                let mut params: Vec<(Type, String)> = Vec::new();
-                if !cur.eat(&Tok::RParen) {
-                    loop {
-                        let ty = cur.ty()?;
-                        let pname = match cur.next() {
-                            Some(Tok::Reg(r)) => r,
-                            got => return Err(cur.err(format!("expected %param, got {got:?}"))),
-                        };
-                        params.push((ty, pname));
-                        if cur.eat(&Tok::RParen) {
-                            break;
-                        }
-                        cur.expect(Tok::Comma)?;
-                    }
-                }
-                let ret = if cur.eat(&Tok::Arrow) {
-                    Some(cur.ty()?)
-                } else {
-                    None
-                };
-                cur.expect(Tok::LBrace)?;
-
-                let mut func = Function::new(name, ret);
-                let mut ctx = FnCtx {
-                    regs: HashMap::new(),
-                    blocks: HashMap::new(),
-                };
-                for (ty, pname) in params {
-                    let r = func.add_param(ty, &pname);
-                    ctx.regs.insert(pname, r);
-                }
-
-                // Find the closing brace and pre-create blocks for all labels.
-                let mut j = i + 1;
-                let mut body = Vec::new();
-                let mut closed = false;
-                while j < lines.len() {
-                    let (ln, toks) = &lines[j];
-                    if toks == &[Tok::RBrace] {
-                        closed = true;
-                        break;
-                    }
-                    body.push((*ln, toks.clone()));
-                    j += 1;
-                }
-                if !closed {
-                    return Err(ParseError {
-                        line: *lineno,
-                        message: "unclosed function body".into(),
-                    });
-                }
-                for (ln, toks) in &body {
-                    if let [Tok::Ident(label), Tok::Colon] = toks.as_slice() {
-                        if ctx.blocks.contains_key(label) {
-                            return Err(ParseError {
-                                line: *ln,
-                                message: format!("duplicate label {label}"),
-                            });
-                        }
-                        let b = func.add_block(Block::new(label.clone()));
-                        ctx.blocks.insert(label.clone(), b);
-                    }
-                }
-
-                let mut current: Option<BlockId> = None;
-                for (ln, toks) in body {
-                    if let [Tok::Ident(label), Tok::Colon] = toks.as_slice() {
-                        current = Some(ctx.blocks[label]);
-                        continue;
-                    }
-                    let bid = current.ok_or_else(|| ParseError {
-                        line: ln,
-                        message: "instruction before first label".into(),
-                    })?;
-                    let mut cur = Cursor {
-                        toks,
-                        pos: 0,
-                        line: ln,
-                    };
-                    // Result-producing statement or phi?
-                    if let Some(Tok::Reg(res_name)) = cur.peek().cloned() {
-                        cur.next();
-                        cur.expect(Tok::Eq)?;
-                        let res = ctx.reg(&mut func, &res_name);
-                        let head = cur.ident()?;
-                        if head == "phi" {
-                            let phi = parse_phi(&mut cur, &mut func, &mut ctx)?;
-                            func.block_mut(bid).phis.push((res, phi));
-                        } else {
-                            let inst = parse_rhs(&mut cur, &mut func, &mut ctx, &head)?;
-                            func.block_mut(bid).stmts.push(Stmt {
-                                result: Some(res),
-                                inst,
-                            });
-                        }
-                    } else {
-                        let head = cur.ident()?;
-                        if matches!(head.as_str(), "ret" | "br" | "switch" | "unreachable") {
-                            let term = parse_term(&mut cur, &mut func, &mut ctx, &head)?;
-                            func.block_mut(bid).term = term;
-                        } else {
-                            let inst = parse_rhs(&mut cur, &mut func, &mut ctx, &head)?;
-                            func.block_mut(bid).stmts.push(Stmt { result: None, inst });
-                        }
-                    }
-                    if !cur.done() {
-                        return Err(cur.err("trailing tokens"));
-                    }
-                }
+                let (func, next) = parse_define(&lexed, &mut cur, i)?;
                 module.functions.push(func);
-                i = j + 1;
+                i = next;
             }
-            other => {
-                return Err(ParseError {
-                    line: *lineno,
-                    message: format!("unknown top-level item '{other}'"),
-                })
-            }
+            other => return Err(cur.err(format!("unknown top-level item '{other}'"))),
         }
     }
     Ok(module)

@@ -8,7 +8,7 @@ use crate::inst::{CastOp, Inst, Term};
 use crate::module::Module;
 use crate::types::Type;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// A verification failure.
@@ -84,6 +84,11 @@ pub enum VerifyError {
         /// Global name.
         global: String,
     },
+    /// Two globals, declarations or definitions share a name.
+    Redefinition {
+        /// The name defined twice.
+        name: String,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -131,6 +136,7 @@ impl fmt::Display for VerifyError {
             VerifyError::UnknownGlobal { func, global } => {
                 write!(f, "unknown global @{global} referenced in @{func}")
             }
+            VerifyError::Redefinition { name } => write!(f, "redefinition of @{name}"),
         }
     }
 }
@@ -501,12 +507,26 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
     .run()
 }
 
-/// Verify every function of a module.
+/// Verify a module: no name is given to two of its globals, declarations
+/// and definitions (they share one namespace, as in LLVM), and every
+/// function verifies.
 ///
 /// # Errors
 ///
-/// See [`verify_function`].
+/// [`VerifyError::Redefinition`] for the first name seen twice, else see
+/// [`verify_function`].
 pub fn verify_module(module: &Module) -> Result<(), VerifyError> {
+    let mut names = HashSet::new();
+    let globals = module.globals.iter().map(|g| &g.name);
+    let declares = module.declares.iter().map(|d| &d.name);
+    let functions = module.functions.iter().map(|f| &f.name);
+    if let Some(name) = globals
+        .chain(declares)
+        .chain(functions)
+        .find(|n| !names.insert(*n))
+    {
+        return Err(VerifyError::Redefinition { name: name.clone() });
+    }
     for f in &module.functions {
         verify_function(module, f)?;
     }
@@ -669,6 +689,19 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, VerifyError::UnknownGlobal { .. }));
+    }
+
+    #[test]
+    fn rejects_redefinitions() {
+        for src in [
+            "define @f() {\nentry:\n  ret void\n}\ndefine @f() {\nentry:\n  ret void\n}\n",
+            "global @G : i32\nglobal @G : i64\n",
+            "declare @f()\ndefine @f() {\nentry:\n  ret void\n}\n",
+        ] {
+            let err = check(src).unwrap_err();
+            assert!(matches!(err, VerifyError::Redefinition { .. }), "{src:?}");
+            assert!(err.to_string().starts_with("redefinition of @"), "{err}");
+        }
     }
 
     #[test]

@@ -296,7 +296,7 @@ mod tests {
     use crate::parallel::{run_pipeline_parallel, ParallelOptions, ValidationRun};
     use crellvm_core::CheckerConfig;
     use crellvm_interp::{check_refinement, run_main, RunConfig};
-    use crellvm_ir::{parse_module, verify_module};
+    use crellvm_ir::{parse_module, verify_module, VerifyError};
 
     const PROGRAM: &str = r#"
         declare @print(i32)
@@ -417,8 +417,9 @@ mod tests {
 
     #[test]
     fn functions_with_the_same_name_stay_apart() {
-        // The parser and the verifier accept two definitions of @f; every
-        // pass result is placed by function index, never by name.
+        // The verifier rejects two definitions of @f, so no input reaches
+        // the engine with them; still, every pass result is placed by
+        // function index, never by name.
         let m = parse_module(
             r#"
             define @f(i32 %n) -> i32 {
@@ -439,7 +440,10 @@ mod tests {
             "#,
         )
         .unwrap();
-        verify_module(&m).unwrap();
+        assert_eq!(
+            verify_module(&m),
+            Err(VerifyError::Redefinition { name: "f".into() })
+        );
         let config = PassConfig::default();
         let out = run_pass("mem2reg", &m, &config);
 

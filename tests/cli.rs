@@ -4,6 +4,8 @@ use crellvm::erhl::serialize_bin::fnv64;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+mod hostile_ir;
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_crellvm")
 }
@@ -588,6 +590,28 @@ fn parse_errors_carry_line_numbers() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 3"), "{stderr}");
+}
+
+#[test]
+fn hostile_modules_exit_2_without_output() {
+    let prog = tmpfile("hostile.cll");
+    let dumps = tmpfile("hostile_proofs");
+    for (text, refusal) in hostile_ir::MODULES {
+        std::fs::write(&prog, text).unwrap();
+        let _ = std::fs::remove_dir_all(&dumps);
+        let out = run(&[
+            "opt",
+            prog.to_str().unwrap(),
+            "--proof-dir",
+            dumps.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{text:?}: {stderr}");
+        assert!(stderr.contains(refusal), "{text:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{text:?} printed to stdout");
+        let written = std::fs::read_dir(&dumps).map_or(0, |d| d.count());
+        assert_eq!(written, 0, "{text:?} wrote proofs");
+    }
 }
 
 #[test]

@@ -7,6 +7,8 @@ use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
+mod hostile_ir;
+
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_crellvm")
 }
@@ -194,6 +196,41 @@ fn top_once_renders_a_fleet_view_from_a_live_daemon() {
     assert!(screen.contains("requests"), "{screen}");
     assert!(screen.contains("verdicts:"), "{screen}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn hostile_modules_are_a_400_and_the_daemon_lives() {
+    let daemon = Daemon::start(&[]);
+    let post = |content_type: &str, body: &[u8]| {
+        let (status, _, body) = call(
+            &daemon.addr,
+            "POST",
+            "/v1/validate",
+            &[("Content-Type", content_type)],
+            body,
+        )
+        .expect("the daemon answers");
+        (status, String::from_utf8(body).unwrap())
+    };
+    for (text, refusal) in hostile_ir::MODULES {
+        let (status, body) = post("text/plain", text.as_bytes());
+        assert_eq!(status, 400, "{text:?}: {body}");
+        assert!(body.starts_with("error: "), "{text:?}: {body}");
+        assert!(body.contains(refusal), "{text:?}: {body}");
+    }
+    // v2 `Module` bodies go through the same redefinition check. (Modules
+    // with a bad literal do not parse, so they have no v2 form.)
+    for (text, refusal) in hostile_ir::MODULES {
+        let Ok(module) = crellvm::ir::parse_module(text) else {
+            continue;
+        };
+        let bytes = crellvm::erhl::serialize_bin::to_bytes_v2(&module).unwrap();
+        let (status, body) = post("application/x-crellvm-module-v2", &bytes);
+        assert_eq!(status, 400, "{text:?}: {body}");
+        assert!(body.contains(refusal), "{text:?}: {body}");
+    }
+    let (status, _, _) = call(&daemon.addr, "GET", "/healthz", &[], &[]).unwrap();
+    assert_eq!(status, 200);
 }
 
 #[test]
