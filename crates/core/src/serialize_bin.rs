@@ -11,9 +11,9 @@
 //! which is the case in the validation pipeline, where both endpoints are
 //! the checker's own wire type.
 //!
-//! The `io/proof_binary_roundtrip` micro-benchmark measures the resulting
-//! speedup over JSON; `serialize::proof_to_bytes_v2` / `proof_from_bytes`
-//! are the proof-level entry points.
+//! The `ablation_proof_format` bench compares the resulting wire bytes
+//! and I/O time with JSON's; `serialize::proof_to_bytes_v2` /
+//! `proof_from_bytes` are the proof-level entry points.
 //!
 //! # Wire format v2: dictionary-coded strings
 //!

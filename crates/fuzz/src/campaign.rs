@@ -27,7 +27,7 @@
 //! alone, never from global state, the seed range, or the worker that ran
 //! it. Consequently a finding replays with a 1-seed campaign
 //! (`--seeds s..s+1`), and the deterministic report is byte-identical at
-//! any `--jobs` count: seeds fan out over the shared work-stealing pool
+//! any `--jobs` count: seeds fan out over the shared scheduler
 //! ([`crellvm_passes::schedule`]), per-worker telemetry merges
 //! commutatively, and results reassemble in seed order.
 
@@ -43,7 +43,7 @@ use crellvm_interp::{compile_module_with, run_main_tiered, BcCache, CompileOptio
 use crellvm_ir::Module;
 use crellvm_passes::{run_pass, BugSet, PassConfig, PassOutcome, PASS_ORDER};
 use crellvm_telemetry::forensics::ddmin;
-use crellvm_telemetry::{Progress, Registry, Telemetry};
+use crellvm_telemetry::{Progress, Telemetry};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -211,8 +211,7 @@ struct SeedOutcome {
 
 /// The campaign's deterministic report: everything here is a pure
 /// function of the configuration, so it is byte-identical across
-/// `--jobs` counts (wall-clock timers and steal counters are deliberately
-/// excluded).
+/// `--jobs` counts (wall-clock timers are deliberately excluded).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignReport {
     /// PRNG version the seeds are valid under.
@@ -694,13 +693,13 @@ fn minimize_alarm(
     }
 }
 
-/// Run a campaign: fan the seed range over the work-stealing pool,
-/// merge per-worker telemetry in worker order, and reassemble outcomes
-/// in seed order into the deterministic [`CampaignReport`].
+/// Run a campaign: fan the seed range over the shared scheduler, merge
+/// per-worker telemetry in worker order, and reassemble outcomes in seed
+/// order into the deterministic [`CampaignReport`].
 ///
-/// Rule-coverage counters (`checker.rule.*`), verdict counters
-/// (`fuzz.verdict.*`), and the per-worker `fuzz.steal.*` counters are
-/// also merged into `tel`'s registry for observability.
+/// Rule-coverage counters (`checker.rule.*`) and verdict counters
+/// (`fuzz.verdict.*`) are also merged into `tel`'s registry for
+/// observability; what `tel` receives is the same at any `--jobs`.
 pub fn run_campaign(cfg: &CampaignConfig, tel: &Telemetry) -> CampaignReport {
     run_campaign_with_progress(cfg, tel, None)
 }
@@ -722,21 +721,17 @@ pub fn run_campaign_with_progress(
         cfg.jobs
     };
 
-    struct WorkerState {
-        registry: Arc<Registry>,
-        wtel: Telemetry,
-    }
-    let pool = crellvm_passes::run_work_stealing(
+    // The campaign records into a registry of its own, so its rule
+    // coverage counts only its own seeds; every campaign metric is a
+    // commutative per-seed sum, so the totals are schedule-independent.
+    let campaign = Telemetry::disabled();
+    let outcomes = crellvm_passes::schedule::fan_out(
         n,
         jobs,
+        &campaign,
         |_| 1,
-        |_w| {
-            let registry = Arc::new(Registry::new());
-            let wtel = Telemetry::with_registry(Arc::clone(&registry));
-            WorkerState { registry, wtel }
-        },
-        |_w, state, i| {
-            let outcome = run_seed(cfg.seed_start + i as u64, cfg, &state.wtel);
+        |wtel, _: &mut (), i| {
+            let outcome = run_seed(cfg.seed_start + i as u64, cfg, wtel);
             if let Some(p) = &progress {
                 p.add_done(outcome.verdicts.len() as u64);
                 let alarms = outcome
@@ -748,20 +743,9 @@ pub fn run_campaign_with_progress(
             }
             outcome
         },
-        |w, state, steals| {
-            state.registry.add(&format!("fuzz.steal.w{w}"), steals);
-            state.registry.snapshot()
-        },
     );
-
-    // Merge per-worker registries in worker order; every campaign metric
-    // is a commutative per-seed sum, so totals are schedule-independent.
-    let merged = Registry::new();
-    for snapshot in &pool.worker_summaries {
-        merged.merge_snapshot(snapshot);
-        tel.registry().merge_snapshot(snapshot);
-    }
-    let snap = merged.snapshot();
+    let snap = campaign.registry().snapshot();
+    tel.registry().merge_snapshot(&snap);
 
     let mut verdict_counts: BTreeMap<String, u64> = BTreeMap::new();
     for v in [
@@ -775,7 +759,7 @@ pub fn run_campaign_with_progress(
     }
     let mut findings = Vec::new();
     let mut steps = 0u64;
-    for outcome in pool.results {
+    for outcome in outcomes {
         for v in &outcome.verdicts {
             steps += 1;
             *verdict_counts.entry(v.name().to_string()).or_insert(0) += 1;

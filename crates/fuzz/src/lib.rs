@@ -15,7 +15,7 @@
 //!   alarms** (checker accepts, refinement refutes) or **completeness
 //!   gaps** (checker rejects, refinement holds conclusively);
 //! * [`campaign`] runs reproducible parallel campaigns over seed ranges
-//!   on the shared work-stealing pool, `ddmin`-minimizes every finding
+//!   on the shared scheduler, `ddmin`-minimizes every finding
 //!   into a replayable bundle, and accounts per-inference-rule coverage
 //!   through telemetry.
 //!

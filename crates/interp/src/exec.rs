@@ -87,6 +87,17 @@ pub struct RunResult {
     pub steps: u64,
 }
 
+impl RunResult {
+    /// A run that ended with `end` before its first instruction.
+    pub(crate) fn stopped(end: End) -> RunResult {
+        RunResult {
+            events: Vec::new(),
+            end,
+            steps: 0,
+        }
+    }
+}
+
 /// Configuration of a run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -120,11 +131,11 @@ struct Machine<'m> {
 }
 
 impl<'m> Machine<'m> {
-    fn new(module: &'m Module, config: &RunConfig) -> Machine<'m> {
-        Machine {
+    fn new(module: &'m Module, config: &RunConfig) -> Result<Machine<'m>, Stop> {
+        Ok(Machine {
             module,
-            core: MachineCore::new(module, config),
-        }
+            core: MachineCore::new(module, config)?,
+        })
     }
 
     /// Fetch an operand without forcing constant expressions.
@@ -208,7 +219,7 @@ impl<'m> Machine<'m> {
                         Some(self.core.cast_op(*op, *from, v, *to)?)
                     }
                     Inst::Alloca { ty, count } => {
-                        let b = self.core.mem.alloc(*ty, *count);
+                        let b = self.core.alloca(*ty, *count)?;
                         allocas.push(b);
                         Some(Val::Ptr {
                             block: b,
@@ -401,26 +412,16 @@ pub(crate) fn run_function_tree(
     args: Vec<Val>,
     config: &RunConfig,
 ) -> RunResult {
-    let mut machine = Machine::new(module, config);
     let Some(f) = module.function(name) else {
-        return RunResult {
-            events: Vec::new(),
-            end: End::Ub(UbReason::MissingFunction(name.to_string())),
-            steps: 0,
-        };
+        return RunResult::stopped(End::Ub(UbReason::MissingFunction(name.to_string())));
+    };
+    let mut machine = match Machine::new(module, config) {
+        Ok(machine) => machine,
+        Err(_) => return RunResult::stopped(End::OutOfFuel),
     };
     let f = f.clone();
     let r = machine.exec_function(&f, args, 0);
-    let end = match r {
-        Ok(v) => End::Ret(v),
-        Err(Stop::Ub(u)) => End::Ub(u),
-        Err(Stop::OutOfFuel) => End::OutOfFuel,
-    };
-    RunResult {
-        events: machine.core.events,
-        end,
-        steps: machine.core.steps,
-    }
+    machine.core.finish(r)
 }
 
 /// Run a named function with the given arguments on the tier selected by

@@ -204,7 +204,7 @@ impl<'m> BcMachine<'m> {
                     write(frame, *dst, Some(r));
                 }
                 BcInst::Alloca { ty, count, dst } => {
-                    let b = self.core.mem.alloc(*ty, *count);
+                    let b = self.core.alloca(*ty, *count)?;
                     allocas.push(b);
                     write(
                         frame,
@@ -584,26 +584,17 @@ pub(crate) fn run_function_bc(
     config: &RunConfig,
 ) -> RunResult {
     let Some(idx) = compiled.func_index(name) else {
-        return RunResult {
-            events: Vec::new(),
-            end: End::Ub(UbReason::MissingFunction(name.to_string())),
-            steps: 0,
-        };
+        return RunResult::stopped(End::Ub(UbReason::MissingFunction(name.to_string())));
+    };
+    let core = match MachineCore::new(module, config) {
+        Ok(core) => core,
+        Err(_) => return RunResult::stopped(End::OutOfFuel),
     };
     let mut machine = BcMachine {
-        core: MachineCore::new(module, config),
+        core,
         bc: compiled,
         phi_scratch: Vec::new(),
     };
     let r = machine.exec_function(idx, args, 0);
-    let end = match r {
-        Ok(v) => End::Ret(v),
-        Err(Stop::Ub(u)) => End::Ub(u),
-        Err(Stop::OutOfFuel) => End::OutOfFuel,
-    };
-    RunResult {
-        events: machine.core.events,
-        end,
-        steps: machine.core.steps,
-    }
+    machine.core.finish(r)
 }

@@ -13,7 +13,7 @@
 //! flow — exactly the part differential testing is meant to cover.
 
 use crate::event::Event;
-use crate::exec::{RunConfig, UbReason, UndefPolicy};
+use crate::exec::{End, RunConfig, RunResult, UbReason, UndefPolicy};
 use crate::mem::{MemBlockId, Memory, NULL_BLOCK};
 use crate::value::Val;
 use crellvm_ir::{BinOp, CastOp, Const, ConstExpr, IcmpPred, Module, Type};
@@ -62,13 +62,15 @@ pub(crate) struct MachineCore {
 impl MachineCore {
     /// Allocate and initialize the globals exactly like the original
     /// `Machine::new`: one block per global in module order, initializer
-    /// stored at offset 0 (non-simple initializers stay lazy).
-    pub(crate) fn new(module: &Module, config: &RunConfig) -> MachineCore {
+    /// stored at offset 0 (non-simple initializers stay lazy). Globals
+    /// that alone exceed the memory budget stop the run before its first
+    /// instruction, as [`Stop::OutOfFuel`].
+    pub(crate) fn new(module: &Module, config: &RunConfig) -> Result<MachineCore, Stop> {
         let mut mem = Memory::new();
         let mut globals = HashMap::new();
         let mut global_blocks = Vec::with_capacity(module.globals.len());
         for g in &module.globals {
-            let b = mem.alloc(g.ty, g.size);
+            let b = mem.alloc(g.ty, g.size).ok_or(Stop::OutOfFuel)?;
             if let Some(init) = &g.init {
                 let v = match init {
                     Const::Int { ty, bits } => Val::Int {
@@ -85,7 +87,7 @@ impl MachineCore {
             globals.insert(g.name.clone(), b);
             global_blocks.push(b);
         }
-        MachineCore {
+        Ok(MachineCore {
             mem,
             globals,
             global_blocks,
@@ -96,6 +98,26 @@ impl MachineCore {
             undef: config.undef,
             undef_counter: 0,
             max_depth: config.max_depth,
+        })
+    }
+
+    /// Allocate `count` slots of `ty`; past the memory budget the run is
+    /// inconclusive, like one past its fuel.
+    pub(crate) fn alloca(&mut self, ty: Type, count: u64) -> Result<MemBlockId, Stop> {
+        self.mem.alloc(ty, count).ok_or(Stop::OutOfFuel)
+    }
+
+    /// How the run ended, given how execution stopped.
+    pub(crate) fn finish(self, r: Result<Option<Val>, Stop>) -> RunResult {
+        let end = match r {
+            Ok(v) => End::Ret(v),
+            Err(Stop::Ub(u)) => End::Ub(u),
+            Err(Stop::OutOfFuel) => End::OutOfFuel,
+        };
+        RunResult {
+            events: self.events,
+            end,
+            steps: self.steps,
         }
     }
 

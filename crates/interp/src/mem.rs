@@ -13,6 +13,9 @@ use std::fmt;
 pub const BLOCK_STRIDE: u64 = 1 << 24;
 /// Concrete size of one slot in the address arithmetic.
 pub const SLOT_SIZE: u64 = 8;
+/// The most slots one run may allocate, globals included: as many as one
+/// block can address.
+pub const SLOT_BUDGET: u64 = BLOCK_STRIDE / SLOT_SIZE;
 
 /// A memory-block id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -49,6 +52,8 @@ struct MemBlock {
 #[derive(Debug, Clone, Default)]
 pub struct Memory {
     blocks: Vec<MemBlock>,
+    /// Slots allocated so far, out of [`SLOT_BUDGET`].
+    allocated: u64,
 }
 
 /// A memory access failure (undefined behaviour at the IR level).
@@ -82,14 +87,19 @@ impl Memory {
     }
 
     /// Allocate a block of `size` slots, each initialized to `undef` of
-    /// `ty`.
-    pub fn alloc(&mut self, ty: Type, size: u64) -> MemBlockId {
+    /// `ty`; `None` if the run's slots would exceed [`SLOT_BUDGET`]. Freed
+    /// blocks keep their slots, so the budget bounds the whole run.
+    pub fn alloc(&mut self, ty: Type, size: u64) -> Option<MemBlockId> {
+        self.allocated = self
+            .allocated
+            .checked_add(size)
+            .filter(|&n| n <= SLOT_BUDGET)?;
         let id = MemBlockId(self.blocks.len() as u32);
         self.blocks.push(MemBlock {
             slots: vec![Val::Undef(ty); size as usize],
             alive: true,
         });
-        id
+        Some(id)
     }
 
     /// Free a block (alloca lifetime end). Idempotent.
@@ -185,7 +195,7 @@ mod tests {
     #[test]
     fn alloc_load_store_roundtrip() {
         let mut m = Memory::new();
-        let b = m.alloc(Type::I32, 3);
+        let b = m.alloc(Type::I32, 3).unwrap();
         assert_eq!(m.load(b, 0), Ok(Val::Undef(Type::I32)));
         m.store(b, 2, Val::int(Type::I32, 7)).unwrap();
         assert_eq!(m.load(b, 2), Ok(Val::int(Type::I32, 7)));
@@ -195,7 +205,7 @@ mod tests {
     #[test]
     fn bounds_and_liveness() {
         let mut m = Memory::new();
-        let b = m.alloc(Type::I8, 1);
+        let b = m.alloc(Type::I8, 1).unwrap();
         assert_eq!(m.load(b, 1), Err(MemError::OutOfBounds));
         assert_eq!(m.load(b, -1), Err(MemError::OutOfBounds));
         m.free(b);
@@ -205,10 +215,23 @@ mod tests {
     }
 
     #[test]
+    fn allocations_past_the_budget_are_refused() {
+        let mut m = Memory::new();
+        assert_eq!(m.alloc(Type::I32, u64::MAX), None);
+        assert_eq!(m.alloc(Type::I32, SLOT_BUDGET + 1), None);
+        let b = m.alloc(Type::I32, SLOT_BUDGET - 1).unwrap();
+        m.free(b);
+        // Freed slots stay counted.
+        assert!(m.alloc(Type::I32, 1).is_some());
+        assert_eq!(m.alloc(Type::I32, 1), None);
+        assert_eq!(m.alloc(Type::I32, 0).map(|b| m.size_of(b)), Some(Some(0)));
+    }
+
+    #[test]
     fn address_roundtrip() {
         let mut m = Memory::new();
-        let _a = m.alloc(Type::I64, 4);
-        let b = m.alloc(Type::I64, 4);
+        let _a = m.alloc(Type::I64, 4).unwrap();
+        let b = m.alloc(Type::I64, 4).unwrap();
         let addr = Memory::address_of(b, 3);
         assert_eq!(m.pointer_of(addr), Some((b, 3)));
         assert_eq!(m.pointer_of(addr + 1), None); // misaligned

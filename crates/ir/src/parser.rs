@@ -285,8 +285,13 @@ impl<'a> Cursor<'a> {
         Ok(items)
     }
 
-    fn done(&self) -> bool {
-        self.pos >= self.toks.len()
+    /// The end of the line: a token left over is an error.
+    fn end(&self) -> Result<(), ParseError> {
+        if self.pos >= self.toks.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing tokens"))
+        }
     }
 }
 
@@ -609,11 +614,7 @@ fn parse_line<'a>(
                 .push(Stmt { result: None, inst });
         }
     }
-    if cur.done() {
-        Ok(())
-    } else {
-        Err(cur.err("trailing tokens"))
-    }
+    cur.end()
 }
 
 /// Parse a `define` whose header follows `cur` and whose body starts at
@@ -634,6 +635,7 @@ fn parse_define(
     })?;
     let ret = cur.arrow_ty()?;
     cur.expect(Tok::LBrace)?;
+    cur.end()?;
     let mut ctx = FnCtx {
         func: Function::new(name, ret),
         regs: HashMap::new(),
@@ -701,6 +703,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 } else {
                     None
                 };
+                cur.end()?;
                 module.globals.push(Global {
                     name,
                     ty,
@@ -713,6 +716,7 @@ pub fn parse_module(text: &str) -> Result<Module, ParseError> {
                 cur.expect(Tok::LParen)?;
                 let params = cur.list(Tok::RParen, Cursor::ty)?;
                 let ret = cur.arrow_ty()?;
+                cur.end()?;
                 module.declares.push(ExternDecl { name, ret, params });
             }
             "define" => {

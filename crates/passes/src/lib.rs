@@ -76,4 +76,3 @@ pub use pipeline::{
     format_step_line, run_pass, run_pass_function, CodecScratch, PipelineReport, ProofFormat,
     SpanItem, StepOutcome, StepRecord, PASS_ORDER,
 };
-pub use schedule::{run_work_stealing, PoolOutput};

@@ -1,16 +1,13 @@
 //! The parallel validation engine: per-function (pass → proof → check)
-//! fan-out over a std-only scoped work-stealing pool.
+//! fan-out over the std-only scoped scheduler of [`crate::schedule`].
 //!
 //! The paper's validation unit is one function under one pass, and units
 //! are independent — embarrassingly parallel. This module exploits that:
 //!
-//! * **Work items** are function indices, seeded by *interleaved
-//!   size-rank*: functions are ranked by statement count (largest first)
-//!   and rank `r` lands in worker `r mod workers`' deque, so every worker
-//!   starts with a comparable mix of big and small functions instead of
-//!   one worker owning the expensive head of the module. When a deque
-//!   runs dry the worker *steals* from the back of a sibling's deque, so
-//!   a residual imbalance still cannot serialize the run.
+//! * **Work items** are function indices, handed out largest first:
+//!   functions are ranked by statement count and every worker takes the
+//!   next rank from one shared cursor, so the expensive functions start
+//!   early and no worker idles while units remain.
 //! * **No shared mutable state on the hot path.** Each worker records into
 //!   its own private [`Registry`] and reuses its own
 //!   [`CodecScratch`](crate::pipeline::CodecScratch) buffers for the io
@@ -35,8 +32,8 @@
 //!   order with [`Registry::merge_snapshot`]; every measurement metric is
 //!   a commutative per-item sum, so the merged values are independent of
 //!   scheduling. The only schedule-dependent metrics are wall-clock
-//!   timers, `pipeline.jobs`, and the per-worker `validate.steal.*`
-//!   counters — exactly the set [`Snapshot::deterministic`] excludes.
+//!   timers and `pipeline.jobs` — exactly the set
+//!   [`Snapshot::deterministic`] excludes.
 //!
 //! [`Snapshot::deterministic`]: crellvm_telemetry::Snapshot::deterministic
 
@@ -108,16 +105,6 @@ impl Default for ParallelOptions {
             cache_namespace: String::new(),
             pool_gauges: None,
             progress: None,
-        }
-    }
-}
-
-impl ParallelOptions {
-    /// Options with an explicit worker count (`0` means the default).
-    pub fn with_jobs(jobs: usize) -> ParallelOptions {
-        ParallelOptions {
-            jobs: if jobs == 0 { default_jobs() } else { jobs },
-            ..ParallelOptions::default()
         }
     }
 }
@@ -373,7 +360,7 @@ fn replay_cache_hit(
 /// Every deterministic observable is independent of the worker count:
 /// the transformed functions, the step records in function order, and the
 /// measurement counters and histograms. Per-worker registries are merged
-/// into `tel`'s registry after each pass's pool joins.
+/// into `tel`'s registry after each pass's workers join.
 pub struct ValidationRun<'a> {
     input: &'a Module,
     config: &'a PassConfig,
@@ -436,43 +423,27 @@ impl<'a> ValidationRun<'a> {
             g.gauge_set("pool.workers", workers as i64);
         }
 
-        // Fan out over the shared work-stealing pool (see
-        // `crate::schedule`): functions are dealt by interleaved
-        // statement-count rank, each worker records into its own registry
-        // and reuses its own codec scratch, and results come back
-        // scattered by function index. The calling thread is worker 0, so
-        // at one worker every item runs inline on it.
-        struct WorkerState {
-            registry: Arc<Registry>,
-            wtel: Telemetry,
-            scratch: CodecScratch,
-        }
+        // Fan out over the shared scheduler (see `crate::schedule`):
+        // functions are handed out largest first, each worker records into
+        // its own registry (merged into `tel`'s on return) and reuses its
+        // own codec scratch, and results come back in function order. The
+        // calling thread is worker 0, so at one worker every item runs
+        // inline on it.
         let prev = std::mem::take(&mut self.slots);
         let run = &*self;
-        let pool = crate::schedule::run_work_stealing(
+        let results = crate::schedule::fan_out(
             n,
             workers,
+            self.tel,
             |i| match &prev[i] {
                 Slot::Ran { unit, .. } => unit.tgt.stmt_count(),
                 Slot::Input | Slot::Hit { .. } => run.input.functions[i].stmt_count(),
             },
-            |_w| {
-                let registry = Arc::new(Registry::new());
-                let mut wtel = Telemetry::with_registry(Arc::clone(&registry));
-                if let Some(trace) = run.tel.trace_handle() {
-                    wtel = wtel.with_trace(trace);
-                }
-                WorkerState {
-                    registry,
-                    wtel,
-                    scratch: CodecScratch::default(),
-                }
-            },
-            |_w, state, i| {
+            |tel, scratch: &mut CodecScratch, i| {
                 if let Some(g) = &run.opts.pool_gauges {
                     g.gauge_add("pool.inflight", 1);
                 }
-                let result = run.process_slot(pass, i, &prev[i], &state.wtel, &mut state.scratch);
+                let result = run.process_slot(pass, i, &prev[i], tel, scratch);
                 if let Some(g) = &run.opts.pool_gauges {
                     g.gauge_sub("pool.inflight", 1);
                 }
@@ -481,25 +452,12 @@ impl<'a> ValidationRun<'a> {
                 }
                 result
             },
-            |w, state, steals| {
-                // Recorded even at zero so the counter exists for every
-                // worker in the report.
-                state.registry.add(&format!("validate.steal.w{w}"), steals);
-                state.registry.snapshot()
-            },
         );
 
-        // Merge per-worker registries in worker order (every metric is an
-        // order-independent sum; the fixed order keeps even timer totals
-        // reproducible given identical durations).
-        for snapshot in &pool.worker_summaries {
-            self.tel.registry().merge_snapshot(snapshot);
-        }
-
-        // Scatter back in function order: a deterministic report
+        // Fold the results in function order: a deterministic report
         // regardless of which worker ran what.
         let mut slots = Vec::with_capacity(n);
-        for (f, result) in self.input.functions.iter().zip(pool.results) {
+        for (f, result) in self.input.functions.iter().zip(results) {
             report.time_orig += result.orig;
             report.time_pcal += result.pcal;
             report.time_io += result.io;
@@ -939,13 +897,5 @@ mod tests {
             assert_eq!(cold_steps, warm_steps, "{format:?}");
             assert_eq!(cold_dumps, warm_dumps, "{format:?}");
         }
-    }
-
-    #[test]
-    fn steal_counters_exist_per_worker() {
-        let (_, _, snap) = run_at(2);
-        assert!(snap.counters.contains_key("validate.steal.w0"));
-        assert!(snap.counters.contains_key("validate.steal.w1"));
-        assert_eq!(snap.counters.get("pipeline.jobs"), Some(&2));
     }
 }

@@ -1,106 +1,87 @@
-//! A reusable std-only scoped work-stealing pool.
+//! A std-only scoped fan-out over one shared cursor.
 //!
-//! Extracted from the parallel validation engine so other embarrassingly
-//! parallel fan-outs — the fuzzing campaign's per-seed fan-out and
-//! `crellvm check`'s per-file fan-out — run on the *same* scheduler with
-//! the same determinism contract:
+//! The paper's validation units are independent, so scheduling only has
+//! to hand items out and put the results back in order. The validation
+//! engine, the fuzzing campaign's per-seed fan-out and `crellvm check`'s
+//! per-file fan-out all run on this one scheduler, with one determinism
+//! contract:
 //!
-//! * **The caller is worker 0.** Only workers `1..n` get fresh threads,
+//! * **The caller is worker 0.** Only workers `1..workers` get threads,
 //!   so a one-worker run is a plain loop on the calling thread. On small
 //!   hosts this matters: on a 2-vCPU VM with about one effective core,
 //!   the same allocation-heavy work ran 1.25–1.47× slower on a freshly
 //!   spawned thread than on the caller.
-//! * **Interleaved size-rank seeding.** Items are ranked by a caller
-//!   weight (largest first, original index as tie-break) and rank `r` is
-//!   dealt to worker `r mod workers`' deque, so every worker starts with a
-//!   comparable mix of heavy and light items. Owners pop from the front of
-//!   their own deque; when it runs dry they *steal* from the back of a
-//!   sibling's, so a residual imbalance cannot serialize the run.
-//! * **No shared mutable state.** Each worker owns private state built by
-//!   the caller's `init` (telemetry registries, scratch buffers); the pool
-//!   shares only the immutable deques.
+//! * **Largest first.** Items are ranked by a caller weight (largest
+//!   first, original index as tie-break) and every worker takes the next
+//!   rank from one atomic cursor, so the heavy items start early and a
+//!   worker is never idle while items remain. At one worker the items run
+//!   in exactly the rank order.
+//! * **Private telemetry.** Each worker records into its own registry,
+//!   which carries the caller's trace sink, and owns its own scratch
+//!   state; workers share only the ranked order, its cursor and the
+//!   caller's closure.
 //! * **Deterministic reassembly.** Results are scattered back by item
-//!   index and worker summaries are returned in worker order, so any
-//!   caller that keeps its per-item work deterministic and its summaries
-//!   commutative gets schedule-independent output at every thread count.
+//!   index, and the worker registries are merged into the caller's in
+//!   worker order, so any caller whose per-item work is deterministic and
+//!   whose metrics are sums gets schedule-independent output at every
+//!   thread count.
 
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use crellvm_telemetry::{Registry, Telemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// What one [`run_work_stealing`] call produces.
-pub struct PoolOutput<R, S> {
-    /// Per-item results, in item order (index `i` holds item `i`'s result).
-    pub results: Vec<R>,
-    /// Per-worker summaries, in worker order.
-    pub worker_summaries: Vec<S>,
-}
-
-/// Fan `n` items over `workers` work-stealing workers.
+/// Run `work` on `n` items over `workers` workers and return the results
+/// in item order.
 ///
 /// * `weight(i)` — scheduling weight of item `i` (e.g. statement count);
 ///   only the *relative order* matters.
-/// * `init(w)` — build worker `w`'s private state.
-/// * `work(w, state, i)` — process item `i` on worker `w`.
-/// * `finish(w, state, steals)` — consume worker `w`'s state (with how
-///   many items it stole) into a summary.
+/// * `work(tel, scratch, i)` — process item `i`, recording into the
+///   worker's telemetry `tel` and reusing its `scratch` state (built with
+///   `Default`).
 ///
-/// The worker count is clamped to `1..=n` (a single worker for an empty
-/// input, so summaries are never empty). The calling thread is worker 0;
-/// only workers `1..workers` get threads of their own, so a one-worker
-/// run spawns nothing and runs every item inline on the caller.
+/// The worker count is clamped to `1..=n`. The calling thread is worker
+/// 0; only workers `1..workers` get threads of their own, so a one-worker
+/// run spawns nothing and runs every item inline on the caller. Every
+/// worker's registry is merged into `tel`'s registry, in worker order,
+/// before this returns.
 ///
 /// # Panics
 ///
-/// Propagates panics from worker closures.
-pub fn run_work_stealing<R, S, St>(
+/// Propagates panics from `work`.
+pub fn fan_out<R, S>(
     n: usize,
     workers: usize,
-    weight: impl Fn(usize) -> usize + Sync,
-    init: impl Fn(usize) -> St + Sync,
-    work: impl Fn(usize, &mut St, usize) -> R + Sync,
-    finish: impl Fn(usize, St, u64) -> S + Sync,
-) -> PoolOutput<R, S>
+    tel: &Telemetry,
+    weight: impl Fn(usize) -> usize,
+    work: impl Fn(&Telemetry, &mut S, usize) -> R + Sync,
+) -> Vec<R>
 where
     R: Send,
-    S: Send,
+    S: Default,
 {
-    let workers = workers.max(1).min(n.max(1));
-
-    // Interleaved size-rank seeding (see module docs).
+    let workers = workers.clamp(1, n.max(1));
     let mut ranked: Vec<usize> = (0..n).collect();
     ranked.sort_by_key(|&i| (std::cmp::Reverse(weight(i)), i));
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new(ranked.iter().copied().skip(w).step_by(workers).collect()))
-        .collect();
+    // Relaxed is enough: the cursor publishes no data. `ranked` is built
+    // before any worker starts, and results come back through the join.
+    let cursor = AtomicUsize::new(0);
 
-    let run_worker = |w: usize| {
-        let mut state = init(w);
-        let mut produced: Vec<(usize, R)> = Vec::new();
-        let mut steals = 0u64;
-        loop {
-            let mut item = queues[w].lock().expect("queue poisoned").pop_front();
-            if item.is_none() {
-                for off in 1..workers {
-                    let victim = (w + off) % workers;
-                    let stolen = queues[victim].lock().expect("queue poisoned").pop_back();
-                    if stolen.is_some() {
-                        steals += 1;
-                        item = stolen;
-                        break;
-                    }
-                }
-            }
-            let Some(i) = item else { break };
-            produced.push((i, work(w, &mut state, i)));
+    let run_worker = || {
+        let registry = Arc::new(Registry::new());
+        let mut wtel = Telemetry::with_registry(Arc::clone(&registry));
+        if let Some(trace) = tel.trace_handle() {
+            wtel = wtel.with_trace(trace);
         }
-        (produced, finish(w, state, steals))
+        let mut scratch = S::default();
+        let mut produced = Vec::new();
+        while let Some(&i) = ranked.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            produced.push((i, work(&wtel, &mut scratch, i)));
+        }
+        (produced, registry.snapshot())
     };
-    let worker_outputs = std::thread::scope(|scope| {
-        let run_worker = &run_worker;
-        let handles: Vec<_> = (1..workers)
-            .map(|w| scope.spawn(move || run_worker(w)))
-            .collect();
-        let mut outputs = vec![run_worker(0)];
+    let outputs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(run_worker)).collect();
+        let mut outputs = vec![run_worker()];
         outputs.extend(
             handles
                 .into_iter()
@@ -110,131 +91,112 @@ where
     });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut summaries = Vec::with_capacity(workers);
-    for (produced, summary) in worker_outputs {
-        summaries.push(summary);
+    for (produced, snapshot) in outputs {
+        tel.registry().merge_snapshot(&snapshot);
         for (i, r) in produced {
-            debug_assert!(slots[i].is_none(), "item {i} processed twice");
             slots[i] = Some(r);
         }
     }
-    PoolOutput {
-        results: slots
-            .into_iter()
-            .map(|s| s.expect("every item processed exactly once"))
-            .collect(),
-        worker_summaries: summaries,
-    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every item runs exactly once"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn every_item_processed_exactly_once_in_order() {
-        for workers in [1, 2, 3, 8] {
-            let out = run_work_stealing(
-                10,
+        for workers in [1, 2, 8] {
+            let calls: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+            let results = fan_out(
+                50,
                 workers,
-                |i| i,
-                |_| (),
-                |_, _, i| i * 2,
-                |_, _, steals| steals,
+                &Telemetry::disabled(),
+                |i| i % 7,
+                |_, _: &mut (), i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    i * 2
+                },
             );
-            assert_eq!(out.results, (0..10).map(|i| i * 2).collect::<Vec<_>>());
-            assert_eq!(out.worker_summaries.len(), workers.min(10));
+            assert_eq!(results, (0..50).map(|i| i * 2).collect::<Vec<_>>());
+            for (i, c) in calls.iter().enumerate() {
+                assert_eq!(
+                    c.load(Ordering::Relaxed),
+                    1,
+                    "item {i} at {workers} workers"
+                );
+            }
         }
     }
 
     #[test]
     fn worker_zero_runs_on_the_calling_thread() {
+        // At one worker nothing is spawned: every item runs on the caller.
         let caller = std::thread::current().id();
-        for workers in [1, 3] {
-            let out = run_work_stealing(
-                24,
-                workers,
-                |_| 1,
-                |_| (),
-                |w, _, _| (w, std::thread::current().id()),
-                |w, _, _| (w, std::thread::current().id()),
-            );
-            // Every worker reports its thread, even one left without items.
-            for &(w, id) in &out.worker_summaries {
-                assert_eq!(id == caller, w == 0, "worker {w} of {workers}");
-            }
-            for (i, &(w, id)) in out.results.iter().enumerate() {
-                assert_eq!(id == caller, w == 0, "item {i} on worker {w} of {workers}");
-            }
-        }
+        let threads = fan_out(
+            24,
+            1,
+            &Telemetry::disabled(),
+            |_| 1,
+            |_, _: &mut (), _| std::thread::current().id(),
+        );
+        assert!(threads.iter().all(|&id| id == caller));
     }
 
     #[test]
     fn empty_input_yields_one_idle_worker() {
-        let out = run_work_stealing(0, 8, |_| 0, |_| (), |_, _, i: usize| i, |_, _, s| s);
-        assert!(out.results.is_empty());
-        assert_eq!(out.worker_summaries, vec![0]);
+        // The worker count clamps to one, which runs and merges nothing.
+        let tel = Telemetry::disabled();
+        let results: Vec<usize> = fan_out(0, 8, &tel, |_| 0, |_, _: &mut (), i| i);
+        assert!(results.is_empty());
+        assert!(tel.registry().snapshot().counters.is_empty());
     }
 
     #[test]
     fn worker_state_is_private_and_summarized_in_order() {
-        let out = run_work_stealing(
-            100,
-            4,
-            |_| 1,
-            |w| (w, 0usize),
-            |_, state, _i| {
-                state.1 += 1;
-            },
-            |w, state, _| {
-                assert_eq!(state.0, w, "state stays with its worker");
-                (w, state.1)
-            },
-        );
-        assert_eq!(out.worker_summaries.len(), 4);
-        let total: usize = out.worker_summaries.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 100);
-        for (i, (w, _)) in out.worker_summaries.iter().enumerate() {
-            assert_eq!(*w, i, "summaries in worker order");
+        for workers in [1, 2, 8] {
+            let tel = Telemetry::disabled();
+            tel.count("items", 5);
+            fan_out(
+                100,
+                workers,
+                &tel,
+                |_| 1,
+                |wtel, seen: &mut u64, _| {
+                    // Each worker records into its own registry and keeps
+                    // its own scratch across its items.
+                    assert!(!Arc::ptr_eq(wtel.registry(), tel.registry()));
+                    *seen += 1;
+                    wtel.count("items", 1);
+                    wtel.observe("seen", *seen);
+                },
+            );
+            // Merged, the workers' counts sum to n on top of what the
+            // caller held.
+            let snap = tel.registry().snapshot();
+            assert_eq!(snap.counters["items"], 105, "{workers} workers");
+            assert_eq!(snap.histograms["seen"].count, 100, "{workers} workers");
+            if workers == 1 {
+                assert_eq!(snap.histograms["seen"].sum, 5050);
+            }
         }
     }
 
     #[test]
     fn heavier_items_are_dealt_first() {
-        // With one worker the deque order is exactly the weight rank.
+        // With one worker the cursor walks exactly the weight rank.
         let seen = Mutex::new(Vec::new());
-        run_work_stealing(
+        fan_out(
             4,
             1,
+            &Telemetry::disabled(),
             |i| [5, 20, 10, 1][i],
-            |_| (),
-            |_, _, i| seen.lock().unwrap().push(i),
-            |_, _, _| (),
+            |_, _: &mut (), i| seen.lock().unwrap().push(i),
         );
         assert_eq!(*seen.lock().unwrap(), vec![1, 2, 0, 3]);
-    }
-
-    #[test]
-    fn stealing_happens_under_imbalance() {
-        // Worker 0 gets a slow head item; the others finish and steal.
-        let slow = AtomicUsize::new(0);
-        let out = run_work_stealing(
-            64,
-            4,
-            |i| 64 - i,
-            |_| (),
-            |_, _, i| {
-                if i == 0 {
-                    slow.store(1, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
-            },
-            |_, _, steals| steals,
-        );
-        let total_steals: u64 = out.worker_summaries.iter().sum();
-        // Not guaranteed on a loaded machine, but overwhelmingly likely;
-        // the assertion is on the *mechanism* existing, not a count.
-        assert!(total_steals <= 64);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Validation-as-a-service: a long-running daemon that accepts
 //! translation-unit validation requests over a loopback HTTP/1.1 socket
-//! and runs them on the work-stealing validation engine, behind a bounded
+//! and runs them on the parallel validation engine, behind a bounded
 //! admission queue with backpressure and in front of the shared
 //! content-addressed verdict cache (tenant-namespaced keys).
 //!

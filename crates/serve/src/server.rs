@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! accept → parse → admit (bounded queue, 429 on overflow) → executor
-//!        → ValidationRun::run_pass per pass (work-stealing pool, shared
+//!        → ValidationRun::run_pass per pass (worker pool, shared
 //!          content-addressed cache, tenant-namespaced keys)
 //!        → respond (text = offline `crellvm opt` bytes, or JSON)
 //! ```
@@ -61,7 +61,7 @@ pub struct ServeConfig {
     /// Listen address; port 0 picks a free port (the chosen address is
     /// reported by [`ServerHandle::addr`] and on stdout).
     pub addr: String,
-    /// Work-stealing pool width per request (0 = available parallelism).
+    /// Validation workers per request (0 = available parallelism).
     pub jobs: usize,
     /// Validation executors — how many admitted requests run
     /// concurrently. Each executor drives its own `jobs`-wide pool.

@@ -160,9 +160,9 @@ impl Telemetry {
         self.spans.clone()
     }
 
-    /// The attached trace sink, if any. The parallel validation engine
-    /// uses this to give each worker a private registry while all workers
-    /// keep emitting into the session's one trace file.
+    /// The attached trace sink, if any. The scheduler behind the parallel
+    /// validation engine uses this to give each worker a private registry
+    /// while all workers keep emitting into the session's one trace file.
     pub fn trace_handle(&self) -> Option<Arc<Trace>> {
         self.trace.clone()
     }

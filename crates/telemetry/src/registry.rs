@@ -484,18 +484,13 @@ impl Snapshot {
     /// state — queue depth, inflight units — is a property of *when* the
     /// snapshot was taken, not of the work), and the counters that
     /// describe the *schedule* or *history* rather than the *work* —
-    /// `pipeline.jobs`, the per-worker `validate.steal.*` counters, and the
-    /// `cache.*` hit/miss/eviction counters (which depend on what previous
-    /// runs left in the validation cache). Everything that remains is a
+    /// `pipeline.jobs` and the `cache.*` hit/miss/eviction counters (which
+    /// depend on what previous runs left in the validation cache). Everything that remains is a
     /// commutative sum over per-function work items, so it is
     /// byte-identical at any `--jobs` value and with any cache state; the
     /// determinism and cache-correctness tests compare exactly this view.
     pub fn deterministic(&self) -> Snapshot {
-        let schedule_scoped = |name: &str| {
-            name == "pipeline.jobs"
-                || name.starts_with("validate.steal.")
-                || name.starts_with("cache.")
-        };
+        let schedule_scoped = |name: &str| name == "pipeline.jobs" || name.starts_with("cache.");
         Snapshot {
             counters: self
                 .counters
@@ -706,8 +701,6 @@ mod tests {
         let r = Registry::new();
         r.add("pipeline.validated", 4);
         r.add("pipeline.jobs", 8);
-        r.add("validate.steal.w0", 3);
-        r.add("validate.steal.w7", 1);
         r.add("cache.hits", 11);
         r.add("cache.misses", 2);
         r.observe("checker.assertion_preds", 5);
@@ -715,10 +708,6 @@ mod tests {
         let det = r.snapshot().deterministic();
         assert_eq!(det.counters.get("pipeline.validated"), Some(&4));
         assert!(!det.counters.contains_key("pipeline.jobs"));
-        assert!(!det
-            .counters
-            .keys()
-            .any(|k| k.starts_with("validate.steal.")));
         assert!(!det.counters.keys().any(|k| k.starts_with("cache.")));
         assert!(det.timers.is_empty());
         assert!(det.histograms.contains_key("checker.assertion_preds"));

@@ -65,8 +65,7 @@
 //! (default: the machine's available parallelism). Validation units are
 //! independent, so the transformed module, the per-step output lines, and
 //! every measurement metric are identical at any thread count; only
-//! wall-clock timers and the scheduling counters (`pipeline.jobs`,
-//! `validate.steal.*`) vary.
+//! wall-clock timers and the worker count (`pipeline.jobs`) vary.
 //!
 //! `opt`, `check`, and `fuzz` accept `--progress human|json`: a live
 //! heartbeat line (items done/total, rate, ETA, cache hit rate, alarms)
@@ -86,8 +85,8 @@ use crellvm::gen::{generate_module, GenConfig};
 use crellvm::interp::{run_main, RunConfig, UndefPolicy};
 use crellvm::ir::{parse_module, printer::print_module, verify_module, Module};
 use crellvm::passes::{
-    default_jobs, run_work_stealing, BugSet, ParallelOptions, PassConfig, PipelineReport,
-    ProofFormat, StepOutcome, ValidationRun, PASS_ORDER,
+    default_jobs, schedule, BugSet, ParallelOptions, PassConfig, PipelineReport, ProofFormat,
+    StepOutcome, ValidationRun, PASS_ORDER,
 };
 use crellvm::telemetry::export::{chrome_trace, openmetrics};
 use crellvm::telemetry::forensics::ForensicBundle;
@@ -436,7 +435,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         p.start_ticker(PROGRESS_PERIOD);
         p
     });
-    let (registry, tel) = make_telemetry(trace.as_deref())?;
+    let (_, tel) = make_telemetry(trace.as_deref())?;
     tel.count("pipeline.jobs", jobs as u64);
     let checker = CheckerConfig::sound();
     let mut units = Vec::with_capacity(files.len());
@@ -454,24 +453,17 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         };
         units.push((path, key, unit));
     }
-    // Fan validation over the shared work-stealing pool. Results come back
-    // by file index, so the output order matches the command line at any
-    // -j; equal weights deal files in command-line order, and at --jobs 1
-    // every file is checked on this thread.
+    // Fan validation over the shared scheduler. Results come back by file
+    // index, so the output order matches the command line at any -j; equal
+    // weights hand files out in command-line order, and at --jobs 1 every
+    // file is checked on this thread.
     let cache = cache.as_deref();
-    let pool = run_work_stealing(
+    let results = schedule::fan_out(
         units.len(),
         jobs,
+        &tel,
         |_| 0,
-        |_w| {
-            let wreg = Arc::new(Registry::new());
-            let mut wtel = Telemetry::with_registry(Arc::clone(&wreg));
-            if let Some(t) = tel.trace_handle() {
-                wtel = wtel.with_trace(t);
-            }
-            (wreg, wtel)
-        },
-        |_w, (_, wtel), i| {
+        |wtel, _: &mut (), i| {
             let (path, key, unit) = &units[i];
             let cached = cache.and_then(|c| c.get(*key)).and_then(|e| {
                 let item = check_line_from_entry(path.as_str(), unit, &e)?;
@@ -523,16 +515,12 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
             }
             item
         },
-        |_w, (wreg, _), _steals| wreg.snapshot(),
     );
     if let Some(p) = &progress {
         p.finish();
     }
-    for snapshot in &pool.worker_summaries {
-        registry.merge_snapshot(snapshot);
-    }
     let mut failures = 0usize;
-    for (line, failed) in pool.results {
+    for (line, failed) in results {
         println!("{line}");
         failures += usize::from(failed);
     }
@@ -630,27 +618,12 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
     }
 
     // Validation-engine health: worker count, cache effectiveness, proof
-    // bytes per wire format, steal balance.
-    let mut steals: Vec<(&String, u64)> = snap
-        .counters
-        .iter()
-        .filter(|(k, _)| k.starts_with("validate.steal."))
-        .map(|(k, v)| (k, *v))
-        .collect();
-    steals.sort_by_key(|(k, _)| {
-        k.strip_prefix("validate.steal.w")
-            .and_then(|n| n.parse::<u64>().ok())
-            .unwrap_or(u64::MAX)
-    });
+    // bytes per wire format.
     let cache_hits = counter("cache.hits");
     let cache_misses = counter("cache.misses");
     let io_rows = ["io.bytes.json", "io.bytes.v2"];
     let io_total: u64 = io_rows.iter().map(|r| counter(r)).sum();
-    if counter("pipeline.jobs") > 0
-        || !steals.is_empty()
-        || cache_hits + cache_misses > 0
-        || io_total > 0
-    {
+    if counter("pipeline.jobs") > 0 || cache_hits + cache_misses > 0 || io_total > 0 {
         let _ = writeln!(out);
         let _ = writeln!(out, "{:<34} {:>12}", "engine", "value");
         if counter("pipeline.jobs") > 0 {
@@ -679,9 +652,6 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
             if counter(row) > 0 {
                 let _ = writeln!(out, "  {:<32} {:>12}", row, counter(row));
             }
-        }
-        for (name, n) in steals {
-            let _ = writeln!(out, "  {:<32} {n:>12}", &name["validate.".len()..]);
         }
     }
 

@@ -615,6 +615,26 @@ fn hostile_modules_exit_2_without_output() {
 }
 
 #[test]
+fn runs_past_the_memory_budget_end_out_of_fuel() {
+    let prog = tmpfile("memory_hog.cll");
+    for text in hostile_ir::MEMORY_HOGS {
+        std::fs::write(&prog, text).unwrap();
+        let out = run(&["run", prog.to_str().unwrap()]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{text:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.starts_with("-- end: OutOfFuel ("),
+            "{text:?}: {stdout}"
+        );
+    }
+}
+
+#[test]
 fn forensics_flow_bundles_replay_and_export() {
     // A program that trips PR28562 under the 3.7.1 bug population.
     let prog = tmpfile("pr28562.cll");

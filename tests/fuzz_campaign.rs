@@ -59,6 +59,29 @@ fn reports_are_byte_identical_across_jobs_and_tiers() {
 }
 
 #[test]
+fn campaign_metrics_are_identical_across_jobs() {
+    // Every counter and histogram the campaign records is a per-seed sum,
+    // so the registry it fills must not show how many workers ran it.
+    let metrics = |jobs| {
+        let tel = Telemetry::disabled();
+        let cfg = CampaignConfig {
+            jobs,
+            ..campaign("3.7.1", 0..16, 0.25)
+        };
+        run_campaign(&cfg, &tel);
+        let snap = tel.registry().snapshot();
+        (snap.counters, snap.histograms)
+    };
+    let (counters, histograms) = metrics(1);
+    assert!(counters.contains_key("fuzz.verdict.agree"));
+    for jobs in [2, 8] {
+        let (c, h) = metrics(jobs);
+        assert_eq!(counters, c, "counters differ at jobs={jobs}");
+        assert_eq!(histograms, h, "histograms differ at jobs={jobs}");
+    }
+}
+
+#[test]
 fn skipped_refinement_legs_change_no_report_byte() {
     // The default tier skips the refinement leg where the checker and
     // diff legs already fix the verdict; the differential tier runs every

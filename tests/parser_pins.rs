@@ -185,6 +185,14 @@ const ERRORS: &[(&str, usize, &str)] = &[
         "trailing tokens",
     ),
     ("5", 1, "expected identifier, got Some(Int(5))"),
+    // A top-level line ends where its item does, as a body line does.
+    ("global @G : i32 = 5 7 garbage", 1, "trailing tokens"),
+    ("declare @print(i32) junk", 1, "trailing tokens"),
+    (
+        "define @main() -> i32 { trailing\nentry:\n  ret i32 0\n}\n",
+        1,
+        "trailing tokens",
+    ),
     // Integer literals need integer types.
     (
         "define @f() {\nentry:\n  %a = load i32, ptr 5\n  ret void\n}\n",

@@ -16,6 +16,8 @@ use crellvm::interp::{
 };
 use crellvm::ir::{parse_module, Module};
 
+mod hostile_ir;
+
 /// Run under both tiers and insist on full `RunResult` equality
 /// (including steps and fuel), then re-run under `Differential` and
 /// insist the built-in comparator agrees there is nothing to report.
@@ -105,6 +107,24 @@ fn fuel_exhaustion_is_step_exact() {
             },
         );
     }
+}
+
+/// A run that asks for more memory than the budget allows ends
+/// `OutOfFuel` at the same step on both tiers, never by aborting; a
+/// module whose globals alone exceed the budget ends before its first
+/// instruction.
+#[test]
+fn allocations_past_the_memory_budget_run_out_of_fuel() {
+    for src in hostile_ir::MEMORY_HOGS {
+        let m = parse_module(src).expect("parse");
+        crellvm::ir::verify_module(&m).expect("verify");
+        assert_tier_parity(&m, &RunConfig::default());
+        let r = run_main(&m, &RunConfig::default());
+        assert_eq!(r.end, End::OutOfFuel, "{src}");
+        assert!(r.events.is_empty(), "{src}");
+    }
+    let globals = parse_module(hostile_ir::MEMORY_HOGS[1]).unwrap();
+    assert_eq!(run_main(&globals, &RunConfig::default()).steps, 0);
 }
 
 /// Dispatch-bound arithmetic loop: phi back-edge every iteration plus a
