@@ -22,6 +22,7 @@ use crate::infrule::InfRule;
 use crellvm_ir::{Cfg, DomTree, Function, Inst, Phi, RegId, Stmt, Term, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The shape of one aligned row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,8 +112,10 @@ pub struct ProofUnit {
     pub tgt: Function,
     /// Per-block row shapes (`alignment[b]` has one entry per aligned row).
     pub alignment: Vec<Vec<RowShape>>,
-    /// The assertion at every slot (total map).
-    pub assertions: BTreeMap<SlotId, Assertion>,
+    /// The assertion at every slot (total map). Slots that hold the same
+    /// assertion may share one `Arc`: most program points of a proof hold
+    /// the same one.
+    pub assertions: BTreeMap<SlotId, Arc<Assertion>>,
     /// Inference rules attached to rows/edges.
     pub infrules: BTreeMap<RulePos, Vec<InfRule>>,
     /// Enabled automation functions.
@@ -174,6 +177,7 @@ impl ProofUnit {
         self.assertions
             .get(&s)
             .expect("assertion map must be total")
+            .as_ref()
     }
 
     /// Rules attached at a position (empty slice if none).
@@ -552,6 +556,10 @@ impl ProofBuilder {
     }
 
     /// Finish: resolve ranges and produce the [`ProofUnit`].
+    ///
+    /// A slot's assertion is the global part plus the predicates of the
+    /// range requests covering it, so slots with the same covering set
+    /// share one assertion, built once.
     pub fn finish(self) -> ProofUnit {
         if !self.recording {
             // No proof was recorded: skip assertion materialization (the
@@ -584,20 +592,34 @@ impl ProofBuilder {
         }
         base.maydiff = self.global_maydiff.clone();
 
-        let mut assertions: BTreeMap<SlotId, Assertion> = BTreeMap::new();
+        // Each slot's covering requests, by index in request order.
+        let mut covering: BTreeMap<SlotId, Vec<usize>> = BTreeMap::new();
         for (b, rows) in self.rows.iter().enumerate() {
             for s in 0..=rows.len() {
-                assertions.insert(SlotId::new(b, s), base.clone());
+                covering.insert(SlotId::new(b, s), Vec::new());
             }
         }
-        for req in &self.ranges {
+        for (i, req) in self.ranges.iter().enumerate() {
             let from = self.loc_slots(req.from, &end_slot);
             let to = self.loc_slots(req.to, &end_slot);
             for slot in self.points_between(&cfg, &dom, from, to) {
-                let a = assertions.get_mut(&slot).expect("slot exists");
-                a.side_mut(req.side).insert(req.pred.clone());
+                covering.get_mut(&slot).expect("slot exists").push(i);
             }
         }
+        let mut shared: BTreeMap<Vec<usize>, Arc<Assertion>> = BTreeMap::new();
+        let assertions = covering
+            .into_iter()
+            .map(|(slot, reqs)| {
+                let a = shared.entry(reqs).or_insert_with_key(|reqs| {
+                    let mut a = base.clone();
+                    for req in reqs.iter().map(|&i| &self.ranges[i]) {
+                        a.side_mut(req.side).insert(req.pred.clone());
+                    }
+                    Arc::new(a)
+                });
+                (slot, Arc::clone(a))
+            })
+            .collect();
 
         ProofUnit {
             pass: self.pass,

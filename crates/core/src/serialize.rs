@@ -13,17 +13,19 @@ use crate::proof::{ProofUnit, RowShape, RulePos, SlotId};
 use crate::serialize_bin::{self, EncodeScratch};
 use crellvm_ir::{Block, Function, FunctionShellRef};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Wire format: JSON objects cannot use struct keys, so the maps become
-/// association lists.
+/// association lists. An `Arc` is written as its contents, so each slot
+/// carries its whole assertion, and reading gives each slot its own.
 #[derive(Debug, Serialize, Deserialize)]
 struct ProofUnitWire {
     pass: String,
     src: Function,
     tgt: Function,
     alignment: Vec<Vec<RowShape>>,
-    assertions: Vec<(SlotId, Assertion)>,
+    assertions: Vec<(SlotId, Arc<Assertion>)>,
     infrules: Vec<(RulePos, Vec<InfRule>)>,
     autos: BTreeSet<AutoKind>,
     not_supported: Option<String>,
@@ -152,7 +154,8 @@ impl Serialize for ProofUnitWireV2Ref<'_> {
 /// First-seen-order interning by deep equality. Tables here are small
 /// (blocks per function pair, distinct assertions per proof), so a linear
 /// scan beats maintaining a hash index. The table holds references — the
-/// encoder never owns what it writes.
+/// encoder never owns what it writes. Assertions reach it once per
+/// distinct `Arc`, not once per slot (see the `From` impl below).
 fn intern_ref<'a, T: PartialEq>(table: &mut Vec<&'a T>, v: &'a T) -> u32 {
     match table.iter().position(|&x| x == v) {
         Some(i) => i as u32,
@@ -178,11 +181,19 @@ impl<'a> From<&'a ProofUnit> for ProofUnitWireV2Ref<'a> {
             .iter()
             .map(|b| intern_ref(&mut block_table, b))
             .collect();
+        // Slots that share an `Arc` share its index: only the first slot
+        // holding each `Arc` pays the deep-equality scan.
         let mut assertion_table = Vec::new();
+        let mut by_ptr: HashMap<*const Assertion, u32> = HashMap::new();
         let assertion_slots = u
             .assertions
             .iter()
-            .map(|(k, a)| (*k, intern_ref(&mut assertion_table, a)))
+            .map(|(k, a)| {
+                let i = *by_ptr
+                    .entry(Arc::as_ptr(a))
+                    .or_insert_with(|| intern_ref(&mut assertion_table, a.as_ref()));
+                (*k, i)
+            })
             .collect();
         ProofUnitWireV2Ref {
             pass: &u.pass,
@@ -205,24 +216,23 @@ fn bad_ref(what: &str, idx: u32) -> serialize_bin::Error {
     <serialize_bin::Error as serde::de::Error>::custom(format!("{what} index {idx} beyond table"))
 }
 
-/// Move-on-last-use table dispenser: the decoder counts how often each
-/// table entry is referenced up front, then every reference but the last
-/// clones and the last one *moves* the entry out. Each distinct block and
-/// assertion is thus materialized exactly `refs` times — not `refs + 1`
-/// (table + clones) as a naive reattach would.
-struct TakeTable<T> {
-    slots: Vec<Option<T>>,
+/// Move-on-last-use block dispenser: the decoder counts how often each
+/// table block is referenced up front, then every reference but the last
+/// clones and the last one *moves* the block out. Each distinct block is
+/// thus materialized exactly `refs` times — not `refs + 1` (table +
+/// clones) as a naive reattach would. (Assertions need no dispenser: the
+/// slots share the table's entries.)
+struct TakeTable {
+    slots: Vec<Option<Block>>,
     remaining: Vec<u32>,
-    what: &'static str,
 }
 
-impl<T: Clone> TakeTable<T> {
-    fn new(table: Vec<T>, what: &'static str) -> TakeTable<T> {
+impl TakeTable {
+    fn new(table: Vec<Block>) -> TakeTable {
         let remaining = vec![0u32; table.len()];
         TakeTable {
             slots: table.into_iter().map(Some).collect(),
             remaining,
-            what,
         }
     }
 
@@ -233,12 +243,12 @@ impl<T: Clone> TakeTable<T> {
                 *n += 1;
                 Ok(())
             }
-            None => Err(bad_ref(self.what, i)),
+            None => Err(bad_ref("block", i)),
         }
     }
 
     /// Resolve a pre-registered reference.
-    fn take(&mut self, i: u32) -> T {
+    fn take(&mut self, i: u32) -> Block {
         let i = i as usize;
         self.remaining[i] -= 1;
         if self.remaining[i] == 0 {
@@ -280,7 +290,7 @@ impl From<&ProofUnit> for ProofUnitWireV2 {
         let assertion_slots = u
             .assertions
             .iter()
-            .map(|(k, a)| (*k, intern(&mut assertion_table, a)))
+            .map(|(k, a)| (*k, intern(&mut assertion_table, a.as_ref())))
             .collect();
         ProofUnitWireV2 {
             pass: u.pass.clone(),
@@ -303,7 +313,7 @@ impl TryFrom<ProofUnitWireV2> for ProofUnit {
     type Error = serialize_bin::Error;
 
     fn try_from(w: ProofUnitWireV2) -> Result<ProofUnit, serialize_bin::Error> {
-        let mut blocks = TakeTable::new(w.block_table, "block");
+        let mut blocks = TakeTable::new(w.block_table);
         for &i in w.src_blocks.iter().chain(&w.tgt_blocks) {
             blocks.will_take(i)?;
         }
@@ -312,15 +322,16 @@ impl TryFrom<ProofUnitWireV2> for ProofUnit {
         let mut tgt = w.tgt_shell;
         tgt.blocks = w.tgt_blocks.iter().map(|&i| blocks.take(i)).collect();
 
-        let mut table = TakeTable::new(w.assertion_table, "assertion");
-        for &(_, i) in &w.assertion_slots {
-            table.will_take(i)?;
-        }
+        // Every slot that references a table entry shares its one `Arc`.
+        let table: Vec<Arc<Assertion>> = w.assertion_table.into_iter().map(Arc::new).collect();
         let assertions = w
             .assertion_slots
             .into_iter()
-            .map(|(k, i)| (k, table.take(i)))
-            .collect();
+            .map(|(k, i)| match table.get(i as usize) {
+                Some(a) => Ok((k, Arc::clone(a))),
+                None => Err(bad_ref("assertion", i)),
+            })
+            .collect::<Result<_, _>>()?;
         Ok(ProofUnit {
             pass: w.pass,
             src,

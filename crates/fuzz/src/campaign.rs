@@ -41,10 +41,11 @@ use crellvm_gen::{
 };
 use crellvm_interp::{compile_module_with, run_main_tiered, BcCache, CompileOptions, Tier};
 use crellvm_ir::Module;
-use crellvm_passes::{run_pass, BugSet, PassConfig, PassOutcome, PASS_ORDER};
+use crellvm_passes::{run_pass, run_pass_function, BugSet, PassConfig, PassOutcome, PASS_ORDER};
 use crellvm_telemetry::forensics::ddmin;
 use crellvm_telemetry::{Progress, Telemetry};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -279,27 +280,28 @@ fn mutation_rng(seed: u64, pass_index: usize) -> SplitMix64 {
 }
 
 /// Apply `plans` (function index → mutation subset selected by `keep`,
-/// indexed over the flattened mutation list) to fresh clones of the
-/// honest output and proof units.
-fn rebuild_observed(
-    honest: &Module,
-    units: &[ProofUnit],
+/// indexed over the flattened mutation list) to the honest output and
+/// proof units, copying only what a plan mutates: with no plan the step
+/// borrows everything; otherwise it owns a copy of the module and of the
+/// mutated functions' units, and borrows the other units.
+fn rebuild_observed<'a>(
+    honest: &'a Module,
+    units: &'a [ProofUnit],
     plans: &[(usize, MutationPlan)],
     keep: &[bool],
-) -> (Module, Vec<ProofUnit>) {
-    let mut observed = honest.clone();
-    let mut new_units = units.to_vec();
+) -> (Cow<'a, Module>, Vec<Cow<'a, ProofUnit>>) {
+    let mut observed = Cow::Borrowed(honest);
+    let mut new_units: Vec<Cow<ProofUnit>> = units.iter().map(Cow::Borrowed).collect();
     let mut offset = 0usize;
     for (fi, plan) in plans {
         let n = plan.mutations.len();
         let mask = &keep[offset..offset + n];
         offset += n;
         let mutated = plan.applied_subset(&observed.functions[*fi], mask);
-        let name = mutated.name.clone();
-        observed.functions[*fi] = mutated.clone();
-        if let Some(u) = new_units.iter_mut().find(|u| u.src.name == name) {
-            u.tgt = mutated;
+        if let Some(u) = new_units.iter_mut().find(|u| u.src.name == mutated.name) {
+            u.to_mut().tgt = mutated.clone();
         }
+        observed.to_mut().functions[*fi] = mutated;
     }
     (observed, new_units)
 }
@@ -367,17 +369,19 @@ fn enabled_bugs(bugs: &BugSet) -> Vec<(&'static str, BugSet)> {
 
 /// Attribute an organic rejection of `func` under `pass` to the
 /// historical bugs that reproduce it individually: re-run the pass on the
-/// same input with exactly one bug enabled and check whether validation
-/// of that function still fails.
+/// same input function with exactly one bug enabled and check whether its
+/// validation still fails. Every pass is function-local, so the rest of
+/// the module need not be re-run.
 fn attribute_bugs(pass: &str, input: &Module, func: &str, bugs: &BugSet) -> Vec<String> {
+    let quiet = Telemetry::disabled();
     let mut out = Vec::new();
     for (name, single) in enabled_bugs(bugs) {
-        let outcome = run_pass(pass, input, &PassConfig::with_bugs(single));
-        let failed = outcome
-            .proofs
+        let config = PassConfig::with_bugs(single);
+        let failed = input
+            .functions
             .iter()
-            .filter(|u| u.src.name == func)
-            .any(|u| validate(u).is_err());
+            .filter(|f| f.name == func)
+            .any(|f| validate(&run_pass_function(pass, f, &config, &quiet)).is_err());
         if failed {
             out.push(name.to_string());
         }
@@ -448,7 +452,7 @@ fn run_seed(seed: u64, cfg: &CampaignConfig, tel: &Telemetry) -> SeedOutcome {
                 let module = if div.module_role == "src" {
                     &cur
                 } else {
-                    &observed
+                    observed.as_ref()
                 };
                 findings.push(minimize_divergence(seed, pass, module, div, cfg));
             }
@@ -853,6 +857,39 @@ mod tests {
             cfg.repro_command(41),
             "crellvm fuzz --seeds 41..42 --jobs 1 --mutate-rate 0.25 --compiler 3.7.1 --out findings"
         );
+    }
+
+    #[test]
+    fn rebuild_observed_copies_only_what_it_mutates() {
+        let m = generate_module(&GenConfig {
+            seed: 7,
+            functions: 4,
+            ..GenConfig::default()
+        });
+        let honest = run_pass("instcombine", &m, &PassConfig::default());
+        let (observed, units) = rebuild_observed(&honest.module, &honest.proofs, &[], &[]);
+        assert!(matches!(observed, Cow::Borrowed(_)));
+        assert!(units.iter().all(|u| matches!(u, Cow::Borrowed(_))));
+
+        // A plan on one function: the step owns the module and that
+        // function's unit, and still borrows every other unit.
+        let mut rng = SplitMix64::seed_from_u64(1);
+        let (fi, plan) = (0..honest.module.functions.len())
+            .map(|fi| {
+                let plan = MutationPlan::sample(&honest.module.functions[fi], &mut rng, 2);
+                (fi, plan)
+            })
+            .find(|(_, plan)| !plan.is_empty())
+            .expect("some function has a mutation site");
+        let keep = vec![true; plan.mutations.len()];
+        let plans = [(fi, plan)];
+        let (observed, units) = rebuild_observed(&honest.module, &honest.proofs, &plans, &keep);
+        assert!(matches!(observed, Cow::Owned(_)));
+        for (i, u) in units.iter().enumerate() {
+            assert_eq!(matches!(u, Cow::Owned(_)), i == fi, "unit {i}");
+        }
+        assert_eq!(units[fi].tgt, observed.functions[fi]);
+        assert_ne!(observed.functions[fi], honest.module.functions[fi]);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crellvm_interp::{
 };
 use crellvm_ir::Module;
 use crellvm_telemetry::Telemetry;
+use std::borrow::Borrow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -288,14 +289,16 @@ fn ran_out(r: &RunResult) -> bool {
 }
 
 /// Execute the checker leg over the step's proof units, in unit order.
+/// The units may be owned or borrowed (a campaign step borrows the honest
+/// units it does not mutate).
 pub fn checker_leg(
-    units: &[ProofUnit],
+    units: &[impl Borrow<ProofUnit>],
     checker: &CheckerConfig,
     tel: &Telemetry,
 ) -> CheckerSummary {
     let mut abstained: Option<String> = None;
     for unit in units {
-        match validate_with_telemetry(unit, checker, tel) {
+        match validate_with_telemetry(unit.borrow(), checker, tel) {
             Ok(Verdict::Valid) => {}
             Ok(Verdict::NotSupported(r)) => {
                 abstained.get_or_insert(r);
@@ -347,7 +350,7 @@ pub fn observe_step_cached(
     src: &Module,
     observed: &Module,
     honest: &Module,
-    units: &[ProofUnit],
+    units: &[impl Borrow<ProofUnit>],
     checker: &CheckerConfig,
     cfg: &OracleConfig,
     cache: Option<&mut BcCache>,

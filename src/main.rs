@@ -10,7 +10,8 @@
 //!     Alpha-equivalence check (the llvm-diff analogue).
 //! crellvm gen --seed N [--functions K] [--out FILE]
 //!     Generate a random program.
-//! crellvm check [--trace FILE] <proof-file>...
+//! crellvm check [--trace FILE] [--metrics FILE] [--jobs N]
+//!               [--cache-dir DIR] <proof-file>...
 //!     Validate saved proofs (the separate checker process of Fig 1).
 //! crellvm report [--format text|openmetrics|chrome-trace|profile|folded]
 //!                [--top N] [--weight time|cost] <file>
@@ -43,11 +44,12 @@
 //! independently of the compiler — the trust story of the paper, where
 //! the checker never has to share a process with the optimizer.
 //!
-//! `opt --metrics FILE` snapshots the telemetry registry (counters,
-//! histograms, span timers) to a JSON file after the run; `--trace FILE`
-//! streams the proof-audit log — one JSON-lines event per validation
-//! step — as it happens. `report <metrics.json>` renders a snapshot as
-//! the paper's Fig 6/8-style tables.
+//! `opt --metrics FILE` (and `check`'s and `fuzz`'s) snapshots the
+//! telemetry registry (counters, histograms, span timers) to a JSON file
+//! after the run; `--trace FILE` streams the proof-audit log — one
+//! JSON-lines event per validation step — as it happens. `report
+//! <metrics.json>` renders a snapshot as the paper's Fig 6/8-style
+//! tables.
 //!
 //! `opt --spans FILE` records the causal span tree — one hierarchical
 //! trace per module → function → pass → proof command — which
@@ -102,7 +104,7 @@ const PROGRESS_PERIOD: Duration = Duration::from_millis(200);
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K] [--out FILE]\n  crellvm check [--trace FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
+        "usage:\n  crellvm opt <file.cll> [--pass mem2reg|gvn|licm|instcombine]... [--bugs 3.7.1|5.0.1-pre|none] [--emit] [--proof-dir DIR] [--binary] [--format json|binary-v2] [--jobs N] [--cache-dir DIR] [--metrics FILE] [--trace FILE] [--spans FILE] [--forensics-dir DIR] [--progress human|json]\n  crellvm run <file.cll> [--seed N]\n  crellvm diff <a.cll> <b.cll>\n  crellvm gen --seed N [--functions K] [--out FILE]\n  crellvm check [--trace FILE] [--metrics FILE] [--jobs N] [--cache-dir DIR] [--progress human|json] <proof-file>...\n  crellvm report [--format text|openmetrics|chrome-trace|profile|folded] [--top N] [--weight time|cost] <file>\n  crellvm forensics <bundle.forensic.json>\n  crellvm fuzz [--seeds A..B] [--jobs N] [--mutate-rate R] [--compiler 3.7.1|5.0.1-pre|none] [--tier bytecode(default)|tree|differential] [--out DIR] [--metrics FILE] [--progress human|json]\n  crellvm serve [--addr HOST:PORT] [--jobs N] [--executors N] [--queue N] [--cache-dir DIR] [--access-log FILE] [--span-log FILE]\n  crellvm top --addr HOST:PORT [--once] [--interval-ms N]"
     );
     ExitCode::from(2)
 }
@@ -411,6 +413,7 @@ fn check_line_from_entry(
 
 fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     let mut trace: Option<String> = None;
+    let mut metrics: Option<String> = None;
     let mut jobs = default_jobs();
     let mut cache_dir: Option<String> = None;
     let mut progress_mode: Option<ProgressMode> = None;
@@ -419,6 +422,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--trace" => trace = Some(it.next().ok_or("--trace needs a path")?.clone()),
+            "--metrics" => metrics = Some(it.next().ok_or("--metrics needs a path")?.clone()),
             "--jobs" => jobs = parse_jobs(it.next())?,
             "--cache-dir" => cache_dir = Some(it.next().ok_or("--cache-dir needs a path")?.clone()),
             "--progress" => progress_mode = Some(parse_progress(it.next())?),
@@ -435,7 +439,7 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
         p.start_ticker(PROGRESS_PERIOD);
         p
     });
-    let (_, tel) = make_telemetry(trace.as_deref())?;
+    let (registry, tel) = make_telemetry(trace.as_deref())?;
     tel.count("pipeline.jobs", jobs as u64);
     let checker = CheckerConfig::sound();
     let mut units = Vec::with_capacity(files.len());
@@ -523,6 +527,9 @@ fn cmd_check(args: &[String]) -> Result<ExitCode, String> {
     for (line, failed) in results {
         println!("{line}");
         failures += usize::from(failed);
+    }
+    if let Some(path) = &metrics {
+        std::fs::write(path, registry.snapshot().to_json()).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(if failures == 0 {
         ExitCode::SUCCESS

@@ -434,7 +434,8 @@ fn cache_dir_serves_warm_runs_with_identical_verdicts() {
     assert!(stdout.contains("cache.hit_rate"), "{stdout}");
     assert!(stdout.contains("io.bytes.v2"), "{stdout}");
 
-    // `check --cache-dir`: a proof checked twice hits on the second run.
+    // `check --cache-dir`: every proof misses on the first run and hits on
+    // the second, as the runs' `--metrics` snapshots record.
     let pdir = std::env::temp_dir().join("crellvm_cli_cache_proofs");
     let _ = std::fs::remove_dir_all(&pdir);
     let out = run(&[
@@ -454,13 +455,29 @@ fn cache_dir_serves_warm_runs_with_identical_verdicts() {
     assert!(!proofs.is_empty());
     let cdir = std::env::temp_dir().join("crellvm_cli_cache_check");
     let _ = std::fs::remove_dir_all(&cdir);
-    let mut args: Vec<&str> = vec!["check", "--cache-dir", cdir.to_str().unwrap()];
-    args.extend(proofs.iter().map(String::as_str));
-    let first = run(&args);
+    let check_cached = |metrics: &PathBuf| {
+        let mut args: Vec<&str> = vec![
+            "check",
+            "--cache-dir",
+            cdir.to_str().unwrap(),
+            "--metrics",
+            metrics.to_str().unwrap(),
+        ];
+        args.extend(proofs.iter().map(String::as_str));
+        run(&args)
+    };
+    let (check_cold, check_warm) = (tmpfile("check_cold.json"), tmpfile("check_warm.json"));
+    let first = check_cached(&check_cold);
     assert!(first.status.success());
-    let second = run(&args);
+    let second = check_cached(&check_warm);
     assert!(second.status.success());
     assert_eq!(first.stdout, second.stdout);
+    let n = proofs.len() as u64;
+    let (cold_snap, warm_snap) = (snap(&check_cold), snap(&check_warm));
+    assert_eq!(cold_snap.counters.get("cache.misses"), Some(&n));
+    assert_eq!(cold_snap.counters.get("cache.hits"), None);
+    assert_eq!(warm_snap.counters.get("cache.hits"), Some(&n));
+    assert_eq!(warm_snap.counters.get("cache.misses"), None);
 }
 
 #[test]

@@ -293,7 +293,7 @@ fn fold_phi_sec4() {
     let base = unit
         .assertions
         .get(&crellvm::erhl::SlotId::new(b2, 0))
-        .cloned()
+        .map(|a| crellvm::erhl::Assertion::clone(a))
         .unwrap();
     let nrows = unit.alignment[b2].len();
     let mut reslotted = std::collections::BTreeMap::new();
@@ -331,7 +331,7 @@ fn fold_phi_sec4() {
         if s == 0 {
             a.add_maydiff(crellvm::erhl::TReg::Phy(z));
         }
-        reslotted.insert(crellvm::erhl::SlotId::new(b2, s), a);
+        reslotted.insert(crellvm::erhl::SlotId::new(b2, s), std::sync::Arc::new(a));
     }
     unit.assertions = reslotted;
     // Move the row-anchored infrules of b2 one row down (they were placed

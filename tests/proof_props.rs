@@ -224,6 +224,8 @@ proptest! {
             let mut mutated = unit.clone();
             let key = mutated.assertions.keys().nth(pick % mutated.assertions.len()).cloned().unwrap();
             if let Some(a) = mutated.assertions.get_mut(&key) {
+                // Copy-on-write: the slot's assertion may be shared.
+                let a = std::sync::Arc::make_mut(a);
                 a.src.retain(|p| !matches!(p, crellvm::erhl::Pred::Lessdef(..)));
                 a.tgt.retain(|p| !matches!(p, crellvm::erhl::Pred::Lessdef(..)));
             }
