@@ -40,17 +40,29 @@ impl CorpusResult {
 
 /// Validate one module under [`PASSES`], adding each pass's steps and
 /// four time columns to its report in `reports`.
+///
+/// # Panics
+///
+/// If a pass without proof generation (Orig) builds a different function
+/// than with it (PCal): the paper's Fig 1 `llvm-diff` step, which the
+/// figure benches thereby gate.
 fn validate_module(m: &Module, config: &PassConfig, reports: &mut PassReports) {
     let checker = CheckerConfig::sound();
     let opts = ParallelOptions {
         jobs: 1,
         format: ProofFormat::Json,
+        orig: true,
         ..ParallelOptions::default()
     };
     let tel = Telemetry::disabled();
     let mut run = ValidationRun::new(m, config, &checker, &opts, &tel);
     for pass in PASSES {
-        run.run_pass(pass, reports.entry(pass).or_default());
+        let report = reports.entry(pass).or_default();
+        run.run_pass(pass, report);
+        assert_eq!(
+            report.orig_mismatches, 0,
+            "{pass}: Orig and PCal built different functions"
+        );
     }
 }
 

@@ -60,33 +60,34 @@ impl fmt::Display for Pred {
 /// A set of unary predicates for one side.
 ///
 /// Lessdef predicates — the bulk of every real assertion and the target of
-/// the checker's hottest lookups — are stored *decomposed* in two flat,
-/// sorted, duplicate-free vectors of pairs: `fwd` holds `(lhs, rhs)` in
-/// `(lhs, rhs)` order and `rev` holds the same pairs as `(rhs, lhs)` in
-/// `(rhs, lhs)` order. `has_lessdef` is a binary search, and
-/// `lessdef_rhs_of` / `lessdef_lhs_of` are contiguous ranges found with
-/// `partition_point`. The remaining predicate kinds (`Uniq` / `Priv` /
-/// `Noalias`) live in `others`.
+/// the checker's hottest lookups — are stored *decomposed* in one flat,
+/// sorted, duplicate-free vector of pairs, `fwd`, holding `(lhs, rhs)` in
+/// `(lhs, rhs)` order, and a reverse index `rev` of positions into `fwd`,
+/// ordered by the pairs' `(rhs, lhs)`. `has_lessdef` is a binary search,
+/// and `lessdef_rhs_of` / `lessdef_lhs_of` are contiguous ranges found
+/// with `partition_point`. The remaining predicate kinds (`Uniq` / `Priv`
+/// / `Noalias`) live in `others`.
 ///
 /// Why vectors and not `BTreeMap<Expr, BTreeSet<Expr>>`: an `Expr` is
 /// about 100 bytes, so each per-key B-tree node is an allocation of more
 /// than a kilobyte — past the allocator's small-size cache, and about two
 /// per predicate on every clone, build and drop. The checker clones,
 /// builds and drops these sets on every proof row; a vector clones with
-/// one allocation per index.
+/// one allocation per index. The reverse index holds 4-byte positions
+/// rather than a second copy of every 208-byte pair.
 ///
 /// Iteration order is unchanged from the flat-set representation:
 /// `Pred::Lessdef` is the first enum variant, so the old `BTreeSet<Pred>`
 /// yielded all lessdefs (sorted by `(lhs, rhs)`) before the other
 /// predicates — exactly what chaining `fwd` with `others` reproduces.
 /// Serialized form is byte-identical (`{"preds": [...]}`).
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Unary {
     /// `(lhs, rhs)` for every `lhs ⊒ rhs`, sorted, no duplicates.
     fwd: Vec<(Expr, Expr)>,
-    /// The pairs of `fwd` as `(rhs, lhs)`, sorted, no duplicates. Derived
-    /// data — never compared or serialized.
-    rev: Vec<(Expr, Expr)>,
+    /// Every position of `fwd` once, ordered by the pairs' `(rhs, lhs)`.
+    /// Derived data — never compared or serialized.
+    rev: Vec<u32>,
     /// Non-lessdef predicates (`Uniq`, `Priv`, `Noalias`).
     others: BTreeSet<Pred>,
 }
@@ -101,6 +102,64 @@ fn pairs_led_by<'a>(pairs: &'a [(Expr, Expr)], x: &Expr) -> &'a [(Expr, Expr)] {
     let start = pairs.partition_point(|(a, _)| a < x);
     let len = pairs[start..].partition_point(|(a, _)| a == x);
     &pairs[start..start + len]
+}
+
+/// `fwd[i]` as the `(rhs, lhs)` key the reverse index is ordered by.
+fn rev_key(fwd: &[(Expr, Expr)], i: u32) -> (&Expr, &Expr) {
+    let (lhs, rhs) = &fwd[i as usize];
+    (rhs, lhs)
+}
+
+/// A position of `fwd` as the reverse index stores it. A side would need
+/// hundreds of gigabytes of pairs to overflow it.
+fn position(i: usize) -> u32 {
+    u32::try_from(i).expect("fewer than 2^32 lessdefs in one side")
+}
+
+/// Keep the pairs of `fwd` for which `keep` holds, visited in order, and
+/// renumber the reverse index `rev` over them: removal does not reorder
+/// the pairs that stay, so the surviving positions keep their order.
+fn retain_pairs(
+    fwd: &mut Vec<(Expr, Expr)>,
+    rev: &mut Vec<u32>,
+    mut keep: impl FnMut(&Expr, &Expr) -> bool,
+) {
+    let mut removed: Vec<u32> = Vec::new();
+    let mut i = 0;
+    fwd.retain(|(a, b)| {
+        let kept = keep(a, b);
+        if !kept {
+            removed.push(i);
+        }
+        i += 1;
+        kept
+    });
+    if removed.is_empty() {
+        return;
+    }
+    // `removed` is sorted: a surviving position moves down by the number
+    // of removed positions below it.
+    rev.retain_mut(|p| match removed.binary_search(p) {
+        Ok(_) => false,
+        Err(below) => {
+            *p -= position(below);
+            true
+        }
+    });
+}
+
+impl fmt::Debug for Unary {
+    /// Prints the reverse index as the `(rhs, lhs)` pairs its positions
+    /// stand for, so `{:?}` of an assertion does not depend on how the
+    /// index is stored.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let rev: Vec<_> = self.rev.iter().map(|&i| rev_key(&self.fwd, i)).collect();
+        f.debug_struct("Unary")
+            .field("fwd", &self.fwd)
+            .field("rev", &rev)
+            .field("others", &self.others)
+            .finish()
+    }
 }
 
 impl PartialEq for Unary {
@@ -131,9 +190,15 @@ impl Unary {
     /// Insert `e1 ⊒ e2`.
     pub fn insert_lessdef(&mut self, e1: Expr, e2: Expr) {
         if let Err(i) = find_pair(&self.fwd, &e1, &e2) {
-            let j = find_pair(&self.rev, &e2, &e1).expect_err("rev index in sync with fwd");
-            self.fwd.insert(i, (e1.clone(), e2.clone()));
-            self.rev.insert(j, (e2, e1));
+            let j = self
+                .find_rev(&e2, &e1)
+                .expect_err("rev index in sync with fwd");
+            self.fwd.insert(i, (e1, e2));
+            let i = position(i);
+            for p in &mut self.rev {
+                *p += u32::from(*p >= i);
+            }
+            self.rev.insert(j, i);
         }
     }
 
@@ -144,13 +209,34 @@ impl Unary {
                 let Ok(i) = find_pair(&self.fwd, a, b) else {
                     return false;
                 };
+                let j = self.find_rev(b, a).expect("rev index in sync with fwd");
                 self.fwd.remove(i);
-                let j = find_pair(&self.rev, b, a).expect("rev index in sync with fwd");
                 self.rev.remove(j);
+                let i = position(i);
+                for p in &mut self.rev {
+                    *p -= u32::from(*p > i);
+                }
                 true
             }
             other => self.others.remove(other),
         }
+    }
+
+    /// Binary search of the reverse index for the pair `rhs`, `lhs`.
+    fn find_rev(&self, rhs: &Expr, lhs: &Expr) -> Result<usize, usize> {
+        self.rev.binary_search_by(|&i| {
+            let (b, a) = rev_key(&self.fwd, i);
+            b.cmp(rhs).then_with(|| a.cmp(lhs))
+        })
+    }
+
+    /// Rebuild the reverse index from `fwd` after a bulk edit.
+    fn rebuild_rev(&mut self) {
+        let fwd = &self.fwd;
+        self.rev.clear();
+        self.rev.extend(0..position(fwd.len()));
+        self.rev
+            .sort_unstable_by(|&x, &y| rev_key(fwd, x).cmp(&rev_key(fwd, y)));
     }
 
     /// Does the set contain `p` (syntactically, plus lessdef reflexivity)?
@@ -204,8 +290,11 @@ impl Unary {
     /// Everything `e` such that `e ⊒ rhs` is present (keyed lookup on the
     /// reverse index).
     pub fn lessdef_lhs_of(&self, rhs: &Expr) -> Vec<&Expr> {
-        pairs_led_by(&self.rev, rhs)
+        let start = self.rev.partition_point(|&i| rev_key(&self.fwd, i).0 < rhs);
+        self.rev[start..]
             .iter()
+            .map(|&i| rev_key(&self.fwd, i))
+            .take_while(|(b, _)| *b == rhs)
             .map(|(_, lhs)| lhs)
             .collect()
     }
@@ -265,12 +354,9 @@ impl Unary {
     /// number removed.
     pub fn kill_reg(&mut self, r: &TReg) -> usize {
         let before = self.len();
-        let alive = |(a, b): &(Expr, Expr)| !a.mentions(r) && !b.mentions(r);
-        let lessdefs = self.fwd.len();
-        self.fwd.retain(alive);
-        if self.fwd.len() != lessdefs {
-            self.rev.retain(alive);
-        }
+        retain_pairs(&mut self.fwd, &mut self.rev, |a, b| {
+            !a.mentions(r) && !b.mentions(r)
+        });
         self.others.retain(|p| !p.mentions(r));
         before - self.len()
     }
@@ -291,12 +377,8 @@ impl Unary {
     pub(crate) fn retain_lessdefs(&mut self, mut keep: impl FnMut(&Unary, &Expr, &Expr) -> bool) {
         let mut fwd = std::mem::take(&mut self.fwd);
         let mut rev = std::mem::take(&mut self.rev);
-        let before = fwd.len();
         let rest: &Unary = self;
-        fwd.retain(|(a, b)| keep(rest, a, b));
-        if fwd.len() != before {
-            rev.retain(|(b, a)| find_pair(&fwd, a, b).is_ok());
-        }
+        retain_pairs(&mut fwd, &mut rev, |a, b| keep(rest, a, b));
         self.fwd = fwd;
         self.rev = rev;
     }
@@ -361,27 +443,23 @@ impl FromIterator<Pred> for Unary {
 }
 
 impl Extend<Pred> for Unary {
-    /// Appends every lessdef, then sorts and dedups each index once: a
-    /// bulk build costs O(n log n), where an ordered insert per predicate
-    /// would shift the vectors O(n²) times.
+    /// Appends every lessdef, then sorts and dedups the pairs and rebuilds
+    /// the reverse index once: a bulk build costs O(n log n), where an
+    /// ordered insert per predicate would shift the vectors O(n²) times.
     fn extend<I: IntoIterator<Item = Pred>>(&mut self, iter: I) {
         let before = self.fwd.len();
         for p in iter {
             match p {
-                Pred::Lessdef(a, b) => {
-                    self.rev.push((b.clone(), a.clone()));
-                    self.fwd.push((a, b));
-                }
+                Pred::Lessdef(a, b) => self.fwd.push((a, b)),
                 other => {
                     self.others.insert(other);
                 }
             }
         }
         if self.fwd.len() != before {
-            for pairs in [&mut self.fwd, &mut self.rev] {
-                pairs.sort();
-                pairs.dedup();
-            }
+            self.fwd.sort();
+            self.fwd.dedup();
+            self.rebuild_rev();
         }
     }
 }
@@ -473,6 +551,147 @@ impl<'de> Deserialize<'de> for Unary {
     }
 }
 
+/// A set of tagged registers, the maydiff set's type: a sorted,
+/// duplicate-free vector.
+///
+/// A maydiff set holds a handful of registers (5.9 on average over the
+/// proof slots of the `opt` benchmark corpus; most are empty) and is
+/// cloned with every proof row, so one flat allocation beats a B-tree's
+/// nodes. It iterates, compares,
+/// prints (`{:?}`) and serializes exactly as the `BTreeSet<TReg>` it
+/// replaced: a sequence in ascending order. Decoding sorts and dedups
+/// whatever arrives, as inserting into a `BTreeSet` did.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct RegSet(Vec<TReg>);
+
+impl RegSet {
+    /// The empty set.
+    pub fn new() -> RegSet {
+        RegSet::default()
+    }
+
+    /// Is `r` in the set?
+    pub fn contains(&self, r: &TReg) -> bool {
+        self.0.binary_search(r).is_ok()
+    }
+
+    /// Insert `r`; returns whether it was absent.
+    pub fn insert(&mut self, r: TReg) -> bool {
+        match self.0.binary_search(&r) {
+            Ok(_) => false,
+            Err(i) => {
+                self.0.insert(i, r);
+                true
+            }
+        }
+    }
+
+    /// Remove `r`; returns whether it was present.
+    pub fn remove(&mut self, r: &TReg) -> bool {
+        match self.0.binary_search(r) {
+            Ok(i) => {
+                self.0.remove(i);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The registers in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, TReg> {
+        self.0.iter()
+    }
+
+    /// The registers in ascending order, as a slice.
+    pub fn as_slice(&self) -> &[TReg] {
+        &self.0
+    }
+
+    /// Number of registers.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Is every register of `self` in `other`? One merge over both.
+    pub fn is_subset(&self, other: &RegSet) -> bool {
+        let mut theirs = other.0.iter();
+        self.0
+            .iter()
+            .all(|r| theirs.by_ref().find(|t| *t >= r) == Some(r))
+    }
+
+    /// Keep the registers for which `keep` holds, visited in order.
+    pub fn retain(&mut self, keep: impl FnMut(&TReg) -> bool) {
+        self.0.retain(keep);
+    }
+}
+
+impl FromIterator<TReg> for RegSet {
+    /// Sorts and dedups only when the registers arrive out of order.
+    fn from_iter<I: IntoIterator<Item = TReg>>(iter: I) -> RegSet {
+        let mut regs: Vec<TReg> = iter.into_iter().collect();
+        if !regs.is_sorted_by(|a, b| a < b) {
+            regs.sort_unstable();
+            regs.dedup();
+        }
+        RegSet(regs)
+    }
+}
+
+impl<'a> IntoIterator for &'a RegSet {
+    type Item = &'a TReg;
+    type IntoIter = std::slice::Iter<'a, TReg>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl fmt::Debug for RegSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl Serialize for RegSet {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let mut seq = serializer.serialize_seq(Some(self.len()))?;
+        for r in self {
+            seq.serialize_element(r)?;
+        }
+        seq.end()
+    }
+}
+
+impl<'de> Deserialize<'de> for RegSet {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<RegSet, D::Error> {
+        struct RegSetVisitor;
+
+        impl<'de> Visitor<'de> for RegSetVisitor {
+            type Value = RegSet;
+
+            fn expecting(&self, f: &mut fmt::Formatter) -> fmt::Result {
+                f.write_str("a sequence")
+            }
+
+            fn visit_seq<A: SeqAccess<'de>>(self, mut seq: A) -> Result<RegSet, A::Error> {
+                let mut regs = Vec::new();
+                while let Some(r) = seq.next_element()? {
+                    regs.push(r);
+                }
+                Ok(regs.into_iter().collect())
+            }
+        }
+
+        deserializer.deserialize_seq(RegSetVisitor)
+    }
+}
+
 /// A full ERHL assertion: source predicates, target predicates, and the
 /// maydiff set (the only relational component, §2.2).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -483,7 +702,7 @@ pub struct Assertion {
     pub tgt: Unary,
     /// Registers that may hold different values in source and target;
     /// everything *not* in this set is equal across sides.
-    pub maydiff: BTreeSet<TReg>,
+    pub maydiff: RegSet,
 }
 
 impl Assertion {
@@ -601,7 +820,7 @@ impl Assertion {
         if let Some(p) = self.tgt.first_missing(&other.tgt) {
             return Some(format!("target predicate not derivable: {p}"));
         }
-        if let Some(r) = self.maydiff.iter().find(|r| !other.maydiff.contains(*r)) {
+        if let Some(r) = self.maydiff.iter().find(|r| !other.maydiff.contains(r)) {
             return Some(format!(
                 "register {r} may differ but the goal requires it equal"
             ));
@@ -1036,6 +1255,108 @@ mod tests {
                 prop_assert_eq!(a.first_missing(b), missing);
                 prop_assert_eq!(a == b, ma == mb);
             }
+        }
+    }
+
+    /// The reverse index holds every position of `fwd` once, ordered by
+    /// the pairs' `(rhs, lhs)`, and `lessdef_lhs_of` agrees with a scan of
+    /// the lessdefs.
+    fn index_in_sync(u: &Unary) -> Result<(), TestCaseError> {
+        prop_assert_eq!(u.rev.len(), u.fwd.len());
+        prop_assert!(u.rev.iter().all(|&i| (i as usize) < u.fwd.len()));
+        prop_assert!(u
+            .rev
+            .windows(2)
+            .all(|w| rev_key(&u.fwd, w[0]) < rev_key(&u.fwd, w[1])));
+        for x in &expr_pool() {
+            let scan: Vec<&Expr> = u
+                .lessdefs()
+                .filter(|(_, b)| *b == x)
+                .map(|(a, _)| a)
+                .collect();
+            prop_assert_eq!(u.lessdef_lhs_of(x), scan);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// `Unary`'s position index stays in sync with its pairs through
+        /// random sequences of inserts, removals, kills, retains and
+        /// bulk extends.
+        #[test]
+        fn reverse_index_agrees_with_scan(
+            ops in proptest::collection::vec((0usize..6, 0usize..9, 0usize..9, 0usize..64), 1..60)
+        ) {
+            let mut u = Unary::new();
+            for (op, i, j, seed) in ops {
+                let pool = expr_pool();
+                match op {
+                    0 | 1 => u.insert_lessdef(pool[i].clone(), pool[j].clone()),
+                    2 => {
+                        u.remove(&Pred::Lessdef(pool[i].clone(), pool[j].clone()));
+                    }
+                    3 => {
+                        u.kill_reg(&reg_pool()[i % 5]);
+                    }
+                    4 if seed % 2 == 0 => u.retain(|p| keeps(p, seed)),
+                    4 => u.retain_lessdefs(|_, a, b| keeps(&Pred::Lessdef(a.clone(), b.clone()), seed)),
+                    _ => u.extend((0..=seed % 7).map(|k| pred_of(seed + k, (i + k) % 9, (j + 3 * k) % 9))),
+                }
+                index_in_sync(&u)?;
+            }
+        }
+
+        /// `RegSet` against the `BTreeSet<TReg>` it replaced: membership,
+        /// inserts and removals, subset, iteration, `{:?}`, the JSON and
+        /// v2 bytes, and decoding of unsorted or duplicated sequences.
+        #[test]
+        fn regset_agrees_with_btreeset(
+            ops in proptest::collection::vec((0usize..4, 0usize..5, 0usize..2), 1..40),
+            wire in proptest::collection::vec(0usize..5, 0..12),
+        ) {
+            let mut sets = [RegSet::new(), RegSet::new()];
+            let mut models: [BTreeSet<TReg>; 2] = [BTreeSet::new(), BTreeSet::new()];
+            for (op, i, which) in ops {
+                let (set, model) = (&mut sets[which], &mut models[which]);
+                let reg = reg_pool()[i].clone();
+                match op {
+                    0 | 1 => prop_assert_eq!(set.insert(reg.clone()), model.insert(reg)),
+                    2 => prop_assert_eq!(set.remove(&reg), model.remove(&reg)),
+                    _ => prop_assert_eq!(set.contains(&reg), model.contains(&reg)),
+                }
+                for (set, model) in sets.iter().zip(&models) {
+                    prop_assert!(set.iter().eq(model.iter()));
+                    prop_assert!(set.into_iter().eq(model));
+                    prop_assert_eq!(set.len(), model.len());
+                    prop_assert_eq!(set.is_empty(), model.is_empty());
+                    prop_assert_eq!(format!("{set:?}"), format!("{model:?}"));
+                    let json = serde_json::to_string(set).unwrap();
+                    prop_assert_eq!(&json, &serde_json::to_string(model).unwrap());
+                    let v2 = crate::serialize_bin::to_bytes_v2(set).unwrap();
+                    prop_assert_eq!(&v2, &crate::serialize_bin::to_bytes_v2(model).unwrap());
+                    prop_assert_eq!(&serde_json::from_str::<RegSet>(&json).unwrap(), set);
+                    prop_assert_eq!(&crate::serialize_bin::from_bytes_v2::<RegSet>(&v2).unwrap(), set);
+                }
+                let [a, b] = &sets;
+                let [ma, mb] = &models;
+                prop_assert_eq!(a.is_subset(b), ma.is_subset(mb));
+                prop_assert_eq!(b.is_subset(a), mb.is_subset(ma));
+                prop_assert_eq!(a == b, ma == mb);
+            }
+            // Hostile wire input: any order, any repeats, decodes to the
+            // set a `BTreeSet` would have built.
+            let pool = reg_pool();
+            let regs: Vec<TReg> = wire.into_iter().map(|i| pool[i].clone()).collect();
+            let model: BTreeSet<TReg> = regs.iter().cloned().collect();
+            let json = serde_json::to_string(&regs).unwrap();
+            let set = serde_json::from_str::<RegSet>(&json).unwrap();
+            prop_assert!(set.iter().eq(model.iter()));
+            let v2 = crate::serialize_bin::to_bytes_v2(&regs).unwrap();
+            let set = crate::serialize_bin::from_bytes_v2::<RegSet>(&v2).unwrap();
+            prop_assert!(set.iter().eq(model.iter()));
+            prop_assert!(regs.into_iter().collect::<RegSet>().iter().eq(model.iter()));
         }
     }
 

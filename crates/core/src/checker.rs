@@ -269,33 +269,23 @@ impl Ctx<'_> {
     /// re-chosen equal on both sides (sound because logical registers do
     /// not exist in physical states).
     fn cleanup_logical_maydiff(q: &mut Assertion, goal: &Assertion) {
-        // Candidates, sorted as the maydiff set is; one pass over the goal
-        // marks those it mentions.
-        let candidates: Vec<&TReg> = q
-            .maydiff
-            .iter()
-            .filter(|m| !m.is_phy() && !goal.maydiff.contains(*m))
-            .collect();
-        if candidates.is_empty() {
+        // Physical registers sort first, so the candidates are a suffix of
+        // the maydiff set; one pass over the goal marks those it mentions.
+        let regs = q.maydiff.as_slice();
+        let logical = &regs[regs.partition_point(TReg::is_phy)..];
+        let mut keep: Vec<bool> = logical.iter().map(|m| goal.maydiff.contains(m)).collect();
+        if !keep.contains(&false) {
             return;
         }
-        let mut mentioned = vec![false; candidates.len()];
         let mut mark = |r: &TReg| {
-            if let Ok(i) = candidates.binary_search(&r) {
-                mentioned[i] = true;
+            if let Ok(i) = logical.binary_search(r) {
+                keep[i] = true;
             }
         };
         goal.src.for_each_reg(&mut mark);
         goal.tgt.for_each_reg(&mut mark);
-        let stale: Vec<TReg> = candidates
-            .into_iter()
-            .zip(mentioned)
-            .filter(|&(_, mentioned)| !mentioned)
-            .map(|(m, _)| m.clone())
-            .collect();
-        for m in stale {
-            q.maydiff.remove(&m);
-        }
+        let mut keep = std::iter::repeat_n(true, regs.len() - logical.len()).chain(keep);
+        q.maydiff.retain(|_| keep.next().unwrap_or(true));
     }
 
     /// Close the gap `q ⇒ goal` with explicit rules then automation.

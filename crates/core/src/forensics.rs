@@ -65,6 +65,14 @@ pub fn command_labels(unit: &ProofUnit) -> Vec<String> {
 /// [`command_labels`]); positions missing from the mask are kept.
 pub fn restrict_commands(unit: &ProofUnit, keep: &[bool]) -> ProofUnit {
     let mut out = unit.clone();
+    restrict_into(unit, keep, &mut out);
+    out
+}
+
+/// [`restrict_commands`] into `out`, a copy of `unit`: only its rules and
+/// automation functions are rewritten, so one copy serves every probe of
+/// a minimization.
+fn restrict_into(unit: &ProofUnit, keep: &[bool], out: &mut ProofUnit) {
     let mut next = keep.iter().copied().chain(std::iter::repeat(true));
     out.infrules = unit
         .infrules
@@ -85,7 +93,6 @@ pub fn restrict_commands(unit: &ProofUnit, keep: &[bool]) -> ProofUnit {
         .filter(|_| next.next().unwrap_or(true))
         .cloned()
         .collect();
-    out
 }
 
 /// Package a checker rejection into a replayable [`ForensicBundle`].
@@ -104,8 +111,10 @@ pub fn forensic_bundle(
 ) -> ForensicBundle {
     let class = classify(err);
     let commands = command_labels(unit);
+    let mut probe = unit.clone();
     let keep = ddmin(commands.len(), |mask| {
-        match validate_with_config(&restrict_commands(unit, mask), config) {
+        restrict_into(unit, mask, &mut probe);
+        match validate_with_config(&probe, config) {
             Err(e) => classify(&e) == class,
             Ok(_) => false,
         }

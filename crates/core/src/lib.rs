@@ -58,7 +58,7 @@ pub mod semantics;
 pub mod serialize;
 pub mod serialize_bin;
 
-pub use assertion::{Assertion, Pred, Unary};
+pub use assertion::{Assertion, Pred, RegSet, Unary};
 pub use auto::AutoKind;
 pub use cache::{CacheEntry, CacheKey, ValidationCache, CHECKER_VERSION};
 pub use checker::{

@@ -15,7 +15,7 @@
 //! primitives (Algorithms 1–3) and resolves ranged assertions to concrete
 //! slots with the §E program-points-between-two-lines computation.
 
-use crate::assertion::{Assertion, Pred};
+use crate::assertion::{Assertion, Pred, RegSet};
 use crate::auto::AutoKind;
 use crate::expr::{Side, TReg};
 use crate::infrule::InfRule;
@@ -219,7 +219,7 @@ pub struct ProofBuilder {
     rows: Vec<Vec<RowShape>>,
     global_src: Vec<Pred>,
     global_tgt: Vec<Pred>,
-    global_maydiff: BTreeSet<TReg>,
+    global_maydiff: RegSet,
     ranges: Vec<RangeReq>,
     infrules: BTreeMap<RulePos, Vec<InfRule>>,
     autos: BTreeSet<AutoKind>,
@@ -242,7 +242,7 @@ impl ProofBuilder {
             rows,
             global_src: Vec::new(),
             global_tgt: Vec::new(),
-            global_maydiff: BTreeSet::new(),
+            global_maydiff: RegSet::new(),
             ranges: Vec::new(),
             infrules: BTreeMap::new(),
             autos: BTreeSet::new(),

@@ -92,6 +92,14 @@ pub struct ParallelOptions {
     /// cache-outcome counts into it lock-free; it renders to stderr only,
     /// so the deterministic metrics/span view is untouched.
     pub progress: Option<Arc<Progress>>,
+    /// Also run each pass without proof generation (the paper's Orig)
+    /// and time it into [`PipelineReport::time_orig`] and `time.orig`.
+    /// Only the figure benches ask for this column; `crellvm opt`, the
+    /// daemon and the benchmark leave it off and run each pass once per
+    /// unit. Where it runs, its function is compared with PCal's target
+    /// (the paper's Fig 1 `llvm-diff` step) into
+    /// [`PipelineReport::orig_mismatches`].
+    pub orig: bool,
 }
 
 impl Default for ParallelOptions {
@@ -105,6 +113,7 @@ impl Default for ParallelOptions {
             cache_namespace: String::new(),
             pool_gauges: None,
             progress: None,
+            orig: false,
         }
     }
 }
@@ -138,12 +147,13 @@ enum Slot {
 
 /// Everything one work item produces: how the function moves on to the
 /// next pass, the step record, the four Fig 6/8 time columns, and — when
-/// enabled — the item's causal span subtree and the forensic bundle of a
-/// failed check.
+/// enabled — whether Orig's function differed from PCal's target, the
+/// item's causal span subtree and the forensic bundle of a failed check.
 struct ItemResult {
     slot: Slot,
     record: StepRecord,
     orig: Duration,
+    orig_mismatch: bool,
     pcal: Duration,
     io: Duration,
     pcheck: Duration,
@@ -151,8 +161,9 @@ struct ItemResult {
     bundle: Option<ForensicBundle>,
 }
 
-/// One work item: the full Orig / PCal / I-O / PCheck protocol for one
-/// function under one pass, recording into the worker's telemetry.
+/// One work item: the PCal / I-O / PCheck protocol for one function under
+/// one pass, preceded by Orig when [`ParallelOptions::orig`] asks for it,
+/// recording into the worker's telemetry.
 ///
 /// When span collection is on, the item gets a *fresh* [`SpanCollector`]
 /// — never shared with another thread — so recording stays lock-free and
@@ -181,13 +192,14 @@ fn process_item(
 
     // Orig: the bare pass, proof generation genuinely disabled, telemetry
     // disabled so domain counters are not double-counted.
-    let t0 = Instant::now();
-    {
+    let orig_run = opts.orig.then(|| {
+        let t0 = Instant::now();
         let _g = tel.causal("orig", "phase");
-        let _ = run_pass_function(pass, f, &config.without_proofs(), &Telemetry::disabled());
-    }
-    let orig = t0.elapsed();
-    tel.registry().record_duration("time.orig", orig);
+        let tgt = run_pass_function(pass, f, &config.without_proofs(), &Telemetry::disabled()).tgt;
+        let orig = t0.elapsed();
+        tel.registry().record_duration("time.orig", orig);
+        (tgt, orig)
+    });
 
     let t1 = Instant::now();
     let unit = {
@@ -196,6 +208,10 @@ fn process_item(
     };
     let pcal = t1.elapsed();
     tel.registry().record_duration("time.pcal", pcal);
+    let (orig, orig_mismatch) = match orig_run {
+        Some((tgt, orig)) => (orig, tgt != unit.tgt),
+        None => (Duration::ZERO, false),
+    };
 
     tel.count("pipeline.steps", 1);
     let t2 = Instant::now();
@@ -271,6 +287,7 @@ fn process_item(
         },
         record,
         orig,
+        orig_mismatch,
         pcal,
         io,
         pcheck,
@@ -337,6 +354,7 @@ fn replay_cache_hit(
         },
         record,
         orig: Duration::ZERO,
+        orig_mismatch: false,
         pcal: Duration::ZERO,
         io,
         pcheck: Duration::ZERO,
@@ -459,6 +477,7 @@ impl<'a> ValidationRun<'a> {
         let mut slots = Vec::with_capacity(n);
         for (f, result) in self.input.functions.iter().zip(results) {
             report.time_orig += result.orig;
+            report.orig_mismatches += usize::from(result.orig_mismatch);
             report.time_pcal += result.pcal;
             report.time_io += result.io;
             report.time_pcheck += result.pcheck;

@@ -184,8 +184,13 @@ pub struct PipelineReport {
     /// Forensic bundles for failed steps, in step order (present when the
     /// run had forensics enabled).
     pub bundles: Vec<ForensicBundle>,
-    /// Time running the plain passes (the paper's `Orig`).
+    /// Time running the plain passes (the paper's `Orig`); zero unless
+    /// the run set [`ParallelOptions::orig`](crate::ParallelOptions::orig).
     pub time_orig: Duration,
+    /// Units whose plain-pass function differed from the proof-generating
+    /// pass's target (the paper's Fig 1 `llvm-diff` step); counted only
+    /// where Orig runs.
+    pub orig_mismatches: usize,
     /// Time running the proof-generating passes (`PCal`).
     pub time_pcal: Duration,
     /// Time serializing + deserializing proofs (`I/O`).
@@ -222,6 +227,7 @@ impl PipelineReport {
         self.span_items.extend(other.span_items);
         self.bundles.extend(other.bundles);
         self.time_orig += other.time_orig;
+        self.orig_mismatches += other.orig_mismatches;
         self.time_pcal += other.time_pcal;
         self.time_io += other.time_io;
         self.time_pcheck += other.time_pcheck;

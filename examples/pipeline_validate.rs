@@ -31,10 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         module.functions.len()
     );
 
-    // One worker with JSON proofs, the paper's wire format.
+    // One worker with JSON proofs, the paper's wire format, and the Orig
+    // run the time line below prints.
     let opts = ParallelOptions {
         jobs: 1,
         format: ProofFormat::Json,
+        orig: true,
         ..ParallelOptions::default()
     };
     let (optimized, report) = run_pipeline_parallel(

@@ -574,14 +574,23 @@ fn render_report(snap: &Snapshot, top: usize) -> String {
             "{:<14} {:>8} {:>8} {:>8} {:>8}",
             "time (ms)", "Orig", "PCal", "I-O", "PCheck"
         );
+        // A column the run did not measure (Orig outside the figure
+        // benches, PCal and PCheck on an all-warm run) prints `-`, not 0.
+        let cell = |name: &str| {
+            if snap.timers.contains_key(name) {
+                format!("{:.2}", ms(name))
+            } else {
+                "-".to_string()
+            }
+        };
         let _ = writeln!(
             out,
-            "{:<14} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
+            "{:<14} {:>8} {:>8} {:>8} {:>8}",
             "",
-            ms("time.orig"),
-            ms("time.pcal"),
-            ms("time.io"),
-            ms("time.pcheck"),
+            cell("time.orig"),
+            cell("time.pcal"),
+            cell("time.io"),
+            cell("time.pcheck"),
         );
     }
 

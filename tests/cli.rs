@@ -365,9 +365,17 @@ fn report_of_fuzz_metrics_shows_the_campaign_not_pipeline_zeros() {
     assert!(out.status.success());
     let out = run(&["report", opt_metrics.to_str().unwrap()]);
     let report = String::from_utf8_lossy(&out.stdout);
-    let header: Vec<&str> = report.lines().take(4).collect();
+    let header: Vec<&str> = report.lines().take(5).collect();
     assert!(header[0].starts_with("validation") && header[0].contains("#V"));
     assert!(header[3].starts_with("time (ms)") && header[3].contains("Orig"));
+    // `opt` runs each pass once: Orig is not measured, and says so.
+    let times: Vec<&str> = header[4].split_whitespace().collect();
+    assert_eq!(times.len(), 4, "{report}");
+    assert_eq!(times[0], "-", "{report}");
+    assert!(
+        times[1..].iter().all(|t| t.parse::<f64>().is_ok()),
+        "{report}"
+    );
     assert!(!report.contains("fuzz campaign"), "{report}");
 }
 

@@ -28,10 +28,12 @@ fn fig1_framework_flow() {
             ..GenConfig::default()
         });
 
-        // Step 1: the "original" compiler.
+        // Step 1: the "original" compiler: the same passes with proof
+        // generation off.
+        let original = config.without_proofs();
         let mut tgt = src.clone();
         for pass in PASS_ORDER {
-            tgt = run_pass(pass, &tgt, &config).module;
+            tgt = run_pass(pass, &tgt, &original).module;
         }
 
         // Step 2: the proof-generating compiler, writing everything to

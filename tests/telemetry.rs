@@ -78,7 +78,31 @@ fn pipeline_counters_are_deterministic_across_runs() {
     assert!(a.counters["pass.mem2reg.allocas_promoted"] >= 1);
     assert!(a.counters.keys().any(|k| k.starts_with("checker.rule.")));
     assert!(a.histograms["pipeline.proof_bytes"].count >= 4);
-    assert!(a.timers.contains_key("time.orig") && a.timers.contains_key("time.pcheck"));
+    // Orig runs only when asked for (the figure benches).
+    assert!(!a.timers.contains_key("time.orig") && a.timers.contains_key("time.pcheck"));
+}
+
+#[test]
+fn orig_is_timed_and_compared_only_when_asked_for() {
+    let m = parse_module(PROGRAM).expect("parse");
+    let registry = Arc::new(Registry::new());
+    let tel = Telemetry::with_registry(registry.clone());
+    let opts = ParallelOptions {
+        jobs: 1,
+        format: ProofFormat::Json,
+        orig: true,
+        ..ParallelOptions::default()
+    };
+    let (_, report) = run_pipeline_parallel(&m, &PassConfig::default(), &opts, &tel);
+    let with_orig = registry.snapshot();
+    assert!(with_orig.timers.contains_key("time.orig"));
+    assert!(report.time_orig > std::time::Duration::ZERO);
+    // The plain pass builds the function the proof-generating pass does.
+    assert_eq!(report.orig_mismatches, 0);
+    // Orig records nothing but its timer.
+    let (without, _, _) = traced_run(PROGRAM, &PassConfig::default());
+    assert_eq!(with_orig.counters, without.counters);
+    assert_eq!(with_orig.histograms, without.histograms);
 }
 
 #[test]
