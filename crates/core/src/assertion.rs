@@ -35,15 +35,6 @@ impl Pred {
             Pred::Noalias(a, b) => a.as_reg() == Some(r) || b.as_reg() == Some(r),
         }
     }
-
-    /// Does this predicate contain a load expression whose pointer makes it
-    /// vulnerable to memory writes?
-    pub fn mentions_load(&self) -> bool {
-        match self {
-            Pred::Lessdef(a, b) => a.is_load() || b.is_load(),
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for Pred {
@@ -740,15 +731,6 @@ impl Assertion {
     /// Remove a register from the maydiff set; returns whether present.
     pub fn remove_maydiff(&mut self, r: &TReg) -> bool {
         self.maydiff.remove(r)
-    }
-
-    /// Is every register of the value known-equal across sides (i.e. not in
-    /// the maydiff set)? Constants qualify trivially.
-    pub fn value_injected(&self, v: &TValue) -> bool {
-        match v {
-            TValue::Reg(r) => !self.maydiff.contains(r),
-            TValue::Const(_) => true,
-        }
     }
 
     /// Is every register of the expression outside the maydiff set?

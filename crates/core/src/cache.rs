@@ -36,7 +36,12 @@ use std::sync::Mutex;
 /// become misses instead of stale verdicts. Version 3: the expression
 /// interner is gone, so cached metric snapshots no longer carry the
 /// `expr.intern.*` counters that version 2 entries would replay.
-pub const CHECKER_VERSION: u32 = 3;
+/// Version 4: a literal `sdiv`/`srem` divisor of −1 no longer counts as
+/// safe (`MIN / -1` traps), in constant expressions and target divisions
+/// alike; a signed target division on a source division's divisor needs
+/// a signed source on the same dividend; and a rule given a non-integer
+/// type fails instead of panicking.
+pub const CHECKER_VERSION: u32 = 4;
 
 /// Version of the on-disk entry encoding; entries with another version
 /// are treated as misses. Version 2 added [`CacheEntry::tgt_digest`].

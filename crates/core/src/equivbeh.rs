@@ -13,8 +13,9 @@
 //! * a source load may be dropped (its only effect is potential UB, and
 //!   the source having more UB is fine for refinement), but a target load
 //!   must be matched by an equivalent source load;
-//! * a target division must have a divisor equivalent to a source
-//!   division's, or be provably non-zero;
+//! * a target division must have an integer-literal divisor that traps
+//!   for no dividend (non-zero, and not −1 for `sdiv`/`srem`: `MIN / -1`
+//!   overflows), or a source division that traps wherever it does;
 //! * a target instruction may not consume a trapping constant expression
 //!   unless the source instruction is identical (the missing check behind
 //!   LLVM's PR33673 — re-enabled by
@@ -23,7 +24,7 @@
 use crate::assertion::Assertion;
 use crate::expr::TValue;
 use crate::infrule::CheckerConfig;
-use crellvm_ir::{BinOp, Const, Inst, Stmt, Value};
+use crellvm_ir::{arith, BinOp, Const, Inst, Stmt, Type, Value};
 use std::fmt;
 
 /// Why the equivalence check failed.
@@ -72,25 +73,35 @@ fn consumed_operands(inst: &Inst) -> Vec<&Value> {
     }
 }
 
-/// Check a divisor: equivalent to a source divisor, or a non-zero literal.
+/// Check a target division `lhs op rhs`. Its integer-literal divisor traps
+/// for no dividend (with two literals, [`arith::bin`] decides), or a source
+/// division traps wherever it does: on an equivalent divisor and, when the
+/// target is signed (`MIN / -1`), signed too on an equivalent dividend.
 fn divisor_ok(
     p: &Assertion,
     src: Option<&Inst>,
-    tgt_divisor: &Value,
-    tgt_ty: crellvm_ir::Type,
+    op: BinOp,
+    ty: Type,
+    lhs: &Value,
+    rhs: &Value,
 ) -> bool {
-    // Literal non-zero is always fine.
-    if let Value::Const(Const::Int { bits, .. }) = tgt_divisor {
-        if tgt_ty.truncate(*bits) != 0 {
-            return true;
-        }
-    }
-    if let Some(Inst::Bin { op, rhs, .. }) = src {
-        if op.may_trap() && p.values_equivalent(&tv(rhs), &tv(tgt_divisor)) {
-            return true;
-        }
-    }
-    false
+    let literal = |v: &Value| match v {
+        Value::Const(Const::Int { bits, .. }) => Some(*bits),
+        _ => None,
+    };
+    let safe_literal = ty.is_int()
+        && match (literal(lhs), literal(rhs)) {
+            (Some(a), Some(b)) => arith::bin(op, ty, a, b) != Err(arith::Fault::Trap),
+            (None, Some(b)) => !arith::divisor_traps(op, ty, b),
+            _ => false,
+        };
+    let signed = |op: BinOp| matches!(op, BinOp::SDiv | BinOp::SRem);
+    let equiv = |s: &Value, t: &Value| p.values_equivalent(&tv(s), &tv(t));
+    safe_literal
+        || matches!(src, Some(Inst::Bin { op: src_op, lhs: src_lhs, rhs: src_rhs, .. })
+            if src_op.may_trap()
+                && equiv(src_rhs, rhs)
+                && (!signed(op) || (signed(*src_op) && equiv(src_lhs, lhs))))
 }
 
 /// `CheckEquivBeh(P, I_src, I_tgt)` — Algorithm 4 plus the
@@ -245,22 +256,17 @@ pub fn check_equiv_beh(
         // A source load with target lnop is fine (paper §H.2).
 
         // --- divisions --------------------------------------------------------
-        (s, Some(Inst::Bin { op, ty, rhs, .. })) if op.may_trap() => {
-            if divisor_ok(p, s, rhs, *ty) {
+        (s, Some(Inst::Bin { op, ty, lhs, rhs })) if op.may_trap() => {
+            if divisor_ok(p, s, *op, *ty, lhs, rhs) {
                 Ok(())
             } else {
-                fail("target divisor is not provably equal to a source divisor or non-zero")
+                fail("target division may trap where the source's does not")
             }
         }
 
         // --- everything else is unobservable ------------------------------
         _ => Ok(()),
     }
-}
-
-/// Convenience: might this instruction trap via a `BinOp` division?
-pub fn is_trapping_bin(inst: &Inst) -> bool {
-    matches!(inst, Inst::Bin { op, .. } if matches!(op, BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem))
 }
 
 #[cfg(test)]

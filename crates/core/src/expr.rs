@@ -64,14 +64,6 @@ impl TReg {
     pub fn is_phy(&self) -> bool {
         matches!(self, TReg::Phy(_))
     }
-
-    /// The underlying physical register, for `Phy` and `Old`.
-    pub fn phy_reg(&self) -> Option<RegId> {
-        match self {
-            TReg::Phy(r) | TReg::Old(r) => Some(*r),
-            TReg::Ghost(_) => None,
-        }
-    }
 }
 
 impl From<RegId> for TReg {
@@ -133,14 +125,6 @@ impl TValue {
         match self {
             TValue::Reg(r) => Some(r),
             TValue::Const(_) => None,
-        }
-    }
-
-    /// The constant, if any.
-    pub fn as_const(&self) -> Option<&Const> {
-        match self {
-            TValue::Const(c) => Some(c),
-            TValue::Reg(_) => None,
         }
     }
 

@@ -19,9 +19,7 @@
 //!   API (with the §E program-point computation);
 //! * [`checker`] — the top-level validator [`validate`];
 //! * [`serialize`] — JSON (de)serialization of proof units (the paper's
-//!   I/O pipeline);
-//! * [`semantics`] — evaluation of assertions on concrete extended states,
-//!   the property-testing substitute for the original Coq proof.
+//!   I/O pipeline).
 //!
 //! # Example: validating a hand-built translation
 //!
@@ -54,7 +52,6 @@ pub mod postcond;
 pub mod proof;
 pub mod rules_arith;
 pub mod rules_composite;
-pub mod semantics;
 pub mod serialize;
 pub mod serialize_bin;
 

@@ -479,11 +479,6 @@ impl ProofBuilder {
         }
     }
 
-    /// Has this unit been marked not-supported?
-    pub fn is_not_supported(&self) -> bool {
-        self.not_supported.is_some()
-    }
-
     fn loc_slots(&self, loc: Loc, end_slot: &[usize]) -> (usize, usize) {
         match loc {
             Loc::Start(b) => (b, 0),

@@ -7,7 +7,7 @@
 //!   `anchor ⊒ from  ⊢  anchor ⊒ to`, guarded by the *verified identity
 //!   table* [`identity_holds`]. Every identity `from → to` in the table
 //!   satisfies `eval(from) ⊒ eval(to)` pointwise under the
-//!   undef-propagating expression semantics of [`crate::semantics`] (this
+//!   undef-propagating expression semantics of `tests/semantics` (this
 //!   is property-tested in `tests/rule_semantics.rs`).
 //! * Composite rules (e.g. [`ArithRule::AddAssoc`], the paper's §2
 //!   example) that chain through intermediate registers, since
@@ -15,7 +15,7 @@
 
 use crate::assertion::Assertion;
 use crate::expr::{Expr, Side, TValue};
-use crellvm_ir::{BinOp, CastOp, Const, IcmpPred, Type};
+use crellvm_ir::{arith, BinOp, CastOp, Const, IcmpPred, Type};
 use serde::{Deserialize, Serialize};
 
 /// An arithmetic rule instance.
@@ -167,90 +167,26 @@ impl ArithRule {
 }
 
 /// Fold a binary operation on two integer literals; `None` when the
-/// operation could trap or produce an over-shift.
+/// operation could trap or produce an over-shift, or its type is not an
+/// integer.
 pub fn fold_bin(op: BinOp, ty: Type, a: &Const, b: &Const) -> Option<Const> {
-    let (Const::Int { bits: ab, .. }, Const::Int { bits: bb, .. }) = (a, b) else {
-        return None;
-    };
-    let (ua, ub) = (ty.truncate(*ab), ty.truncate(*bb));
-    let (sa, sb) = (ty.sext(*ab), ty.sext(*bb));
-    let bits = ty.bits() as u64;
-    let out: u64 = match op {
-        BinOp::Add => ua.wrapping_add(ub),
-        BinOp::Sub => ua.wrapping_sub(ub),
-        BinOp::Mul => ua.wrapping_mul(ub),
-        BinOp::UDiv => {
-            if ub == 0 {
-                return None;
-            }
-            ua / ub
+    match (a, b) {
+        (Const::Int { bits: a, .. }, Const::Int { bits: b, .. }) if ty.is_int() => {
+            let bits = arith::bin(op, ty, *a, *b).ok()?;
+            Some(Const::Int { ty, bits })
         }
-        BinOp::SDiv => {
-            if sb == 0 || (sa == ty.sext(1u64 << (bits - 1)) && sb == -1) {
-                return None;
-            }
-            (sa / sb) as u64
-        }
-        BinOp::URem => {
-            if ub == 0 {
-                return None;
-            }
-            ua % ub
-        }
-        BinOp::SRem => {
-            if sb == 0 || (sa == ty.sext(1u64 << (bits - 1)) && sb == -1) {
-                return None;
-            }
-            (sa % sb) as u64
-        }
-        BinOp::Shl => {
-            if ub >= bits {
-                return None;
-            }
-            ua << ub
-        }
-        BinOp::LShr => {
-            if ub >= bits {
-                return None;
-            }
-            ua >> ub
-        }
-        BinOp::AShr => {
-            if ub >= bits {
-                return None;
-            }
-            (sa >> ub) as u64
-        }
-        BinOp::And => ua & ub,
-        BinOp::Or => ua | ub,
-        BinOp::Xor => ua ^ ub,
-    };
-    Some(Const::Int {
-        ty,
-        bits: ty.truncate(out),
-    })
+        _ => None,
+    }
 }
 
 /// Fold an integer comparison on two literals.
 pub fn fold_icmp(pred: IcmpPred, ty: Type, a: &Const, b: &Const) -> Option<Const> {
-    let (Const::Int { bits: ab, .. }, Const::Int { bits: bb, .. }) = (a, b) else {
-        return None;
-    };
-    let (ua, ub) = (ty.truncate(*ab), ty.truncate(*bb));
-    let (sa, sb) = (ty.sext(*ab), ty.sext(*bb));
-    let r = match pred {
-        IcmpPred::Eq => ua == ub,
-        IcmpPred::Ne => ua != ub,
-        IcmpPred::Ugt => ua > ub,
-        IcmpPred::Uge => ua >= ub,
-        IcmpPred::Ult => ua < ub,
-        IcmpPred::Ule => ua <= ub,
-        IcmpPred::Sgt => sa > sb,
-        IcmpPred::Sge => sa >= sb,
-        IcmpPred::Slt => sa < sb,
-        IcmpPred::Sle => sa <= sb,
-    };
-    Some(Const::bool(r))
+    match (a, b) {
+        (Const::Int { bits: a, .. }, Const::Int { bits: b, .. }) if ty.is_int() => {
+            Some(Const::bool(arith::icmp(pred, ty, *a, *b)))
+        }
+        _ => None,
+    }
 }
 
 fn as_int(v: &TValue) -> Option<(Type, u64)> {
@@ -264,24 +200,14 @@ fn is_int_val(v: &TValue, ty: Type, n: i64) -> bool {
     as_int(v) == Some((ty, ty.truncate(n as u64)))
 }
 
-/// Fold a cast of an integer literal.
+/// Fold a cast of an integer literal between integer types.
 pub fn fold_cast(op: CastOp, from: Type, c: &Const, to: Type) -> Option<Const> {
-    let Const::Int { bits, .. } = c else {
-        return None;
-    };
-    let bits = from.truncate(*bits);
-    match op {
-        CastOp::Trunc => Some(Const::Int {
-            ty: to,
-            bits: to.truncate(bits),
-        }),
-        CastOp::Zext => Some(Const::Int { ty: to, bits }),
-        CastOp::Sext => Some(Const::Int {
-            ty: to,
-            bits: to.truncate(from.sext(bits) as u64),
-        }),
-        CastOp::Bitcast => Some(Const::Int { ty: to, bits }),
-        CastOp::PtrToInt | CastOp::IntToPtr => None,
+    match c {
+        Const::Int { bits, .. } if from.is_int() && to.is_int() => {
+            let bits = arith::cast(op, from, to, *bits)?;
+            Some(Const::Int { ty: to, bits })
+        }
+        _ => None,
     }
 }
 
@@ -292,6 +218,13 @@ pub fn identity_holds(from: &Expr, to: &Expr) -> bool {
     use Expr::*;
     if from == to {
         return true;
+    }
+    // The rules below read the width of a `Bin` or `Icmp`; a proof that
+    // gives one a non-integer type gets no identity.
+    if let Bin { ty, .. } | Icmp { ty, .. } = from {
+        if !ty.is_int() {
+            return false;
+        }
     }
     match (from, to) {
         // --- constant folding -------------------------------------------

@@ -365,6 +365,16 @@ fn bin(op: BinOp, ty: Type, a: &TValue, b: &TValue) -> Expr {
     }
 }
 
+/// The rule's type, which must be an integer: a proof that gives a rule
+/// any other type is refused here instead of reaching [`Type::bits`].
+fn int_ty(ty: Type) -> Result<Type, String> {
+    if ty.is_int() {
+        Ok(ty)
+    } else {
+        Err(format!("composite rule at non-integer type {ty}"))
+    }
+}
+
 fn cint(ty: Type, c: &Const) -> TValue {
     let _ = ty;
     TValue::Const(c.clone())
@@ -439,7 +449,7 @@ pub fn apply_composite(rule: &CompositeRule, q: &Assertion) -> Result<Assertion,
             a,
             c,
         } => {
-            let not = bin(BinOp::Xor, *ty, a, &TValue::Const(Const::int(*ty, -1)));
+            let not = bin(BinOp::Xor, *ty, a, &TValue::int(int_ty(*ty)?, -1));
             let outer = bin(BinOp::Add, *ty, t, &cint(*ty, c));
             let u = out.side_mut(*side);
             if !has_def(u, t, &not) {
@@ -460,7 +470,7 @@ pub fn apply_composite(rule: &CompositeRule, q: &Assertion) -> Result<Assertion,
             a,
             c,
         } => {
-            let not = bin(BinOp::Xor, *ty, a, &TValue::Const(Const::int(*ty, -1)));
+            let not = bin(BinOp::Xor, *ty, a, &TValue::int(int_ty(*ty)?, -1));
             let outer = bin(BinOp::Sub, *ty, &cint(*ty, c), t);
             let u = out.side_mut(*side);
             if !has_def(u, t, &not) {
@@ -592,7 +602,7 @@ pub fn apply_composite(rule: &CompositeRule, q: &Assertion) -> Result<Assertion,
             a,
             b,
         } => {
-            let zero = TValue::int(*ty, 0);
+            let zero = TValue::int(int_ty(*ty)?, 0);
             let n1 = bin(BinOp::Sub, *ty, &zero, a);
             let n2 = bin(BinOp::Sub, *ty, &zero, b);
             let outer = bin(BinOp::Mul, *ty, t1, t2);
@@ -620,8 +630,9 @@ pub fn apply_composite(rule: &CompositeRule, q: &Assertion) -> Result<Assertion,
             let (Const::Int { bits: b1, .. }, Const::Int { bits: b2, .. }) = (c1, c2) else {
                 return Err("shift amounts must be integer literals".into());
             };
+            let width = u64::from(int_ty(*ty)?.bits());
             let sum = ty.truncate(*b1).saturating_add(ty.truncate(*b2));
-            if sum >= ty.bits() as u64 {
+            if sum >= width {
                 return Err("combined shift overflows the width".into());
             }
             let inner = bin(BinOp::Shl, *ty, a, &cint(*ty, c1));
@@ -658,7 +669,7 @@ pub fn apply_composite(rule: &CompositeRule, q: &Assertion) -> Result<Assertion,
                 pred,
                 ty: *ty,
                 a: t.clone(),
-                b: TValue::int(*ty, 0),
+                b: TValue::int(int_ty(*ty)?, 0),
             };
             let u = out.side_mut(*side);
             if !has_def(u, t, &diff) {

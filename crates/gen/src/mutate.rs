@@ -134,16 +134,6 @@ impl Mutation {
         }
     }
 
-    /// Can the interpreter ever witness this mutation on a concrete run?
-    ///
-    /// [`Mutation::StripInbounds`] cannot: removing `inbounds` only
-    /// *removes* poison, so every target behaviour is still a source
-    /// behaviour and `Beh(src) ⊇ Beh(tgt)` keeps holding. The oracle
-    /// matrix test uses this to know which leg must catch what.
-    pub fn interp_catchable(&self) -> bool {
-        !matches!(self, Mutation::StripInbounds { .. })
-    }
-
     /// Site coordinates `(block, index)` used for back-to-front ordering.
     fn site(&self) -> (usize, usize) {
         match *self {

@@ -15,10 +15,10 @@
 use crate::bytecode::{BcFunction, BcInst, Callee, CompiledModule, JumpTarget, Op, PhiAction};
 use crate::event::Event;
 use crate::exec::{End, RunConfig, RunResult, UbReason};
-use crate::machine::{MachineCore, Stop};
+use crate::machine::{int_bin, int_icmp, MachineCore, Stop};
 use crate::mem::{MemBlockId, NULL_BLOCK};
 use crate::value::Val;
-use crellvm_ir::{BinOp, IcmpPred, Module, Type};
+use crellvm_ir::{Module, Type};
 
 struct BcMachine<'m> {
     core: MachineCore,
@@ -140,13 +140,11 @@ impl<'m> BcMachine<'m> {
                     rhs,
                     dst,
                 } => {
-                    // Fast path: two concrete integers and an op that
-                    // cannot trap produce exactly `MachineCore::bin_op`'s
-                    // result without touching the forcing machinery.
+                    // Fast path: two concrete integers produce exactly
+                    // `MachineCore::bin_op`'s result (or trap) without
+                    // touching the forcing machinery.
                     let r = match (int_operand(frame, lhs), int_operand(frame, rhs)) {
-                        (Some((_, a, ta)), Some((_, b, tb))) if !op.may_trap() => {
-                            fast_bin(*op, *ty, a, b, ta || tb)
-                        }
+                        (Some((_, a, ta)), Some((_, b, tb))) => int_bin(*op, *ty, a, b, ta || tb)?,
                         _ => {
                             let a = self.eval(frame, lhs)?;
                             let b = self.eval(frame, rhs)?;
@@ -164,7 +162,7 @@ impl<'m> BcMachine<'m> {
                 } => {
                     let r = match (int_operand(frame, lhs), int_operand(frame, rhs)) {
                         (Some((_, a, ta)), Some((_, b, tb))) => {
-                            fast_icmp(*pred, *ty, a, b, ta || tb)
+                            int_icmp(*pred, *ty, a, b, ta || tb)
                         }
                         _ => {
                             let a = self.eval(frame, lhs)?;
@@ -409,7 +407,7 @@ impl<'m> BcMachine<'m> {
                     // CondBr would read back out of the slot.
                     let r = match (int_operand(frame, lhs), int_operand(frame, rhs)) {
                         (Some((_, a, ta)), Some((_, b, tb))) => {
-                            fast_icmp(*pred, *ty, a, b, ta || tb)
+                            int_icmp(*pred, *ty, a, b, ta || tb)
                         }
                         _ => {
                             let a = self.eval(frame, lhs)?;
@@ -506,69 +504,6 @@ fn ptr_operand(frame: &[Val], op: &Op) -> Option<(MemBlockId, i64)> {
     match v {
         Val::Ptr { block, offset } => Some((*block, *offset)),
         _ => None,
-    }
-}
-
-/// `MachineCore::bin_op` specialized to two concrete integers and a
-/// non-trapping operator: same wrapping arithmetic, same truncation,
-/// same over-shift-to-`undef` rule, same taint propagation.
-#[inline]
-fn fast_bin(op: BinOp, ty: Type, a: u64, b: u64, tainted: bool) -> Val {
-    let width = ty.bits() as u64;
-    let out: Option<u64> = match op {
-        BinOp::Add => Some(a.wrapping_add(b)),
-        BinOp::Sub => Some(a.wrapping_sub(b)),
-        BinOp::Mul => Some(a.wrapping_mul(b)),
-        BinOp::And => Some(a & b),
-        BinOp::Or => Some(a | b),
-        BinOp::Xor => Some(a ^ b),
-        BinOp::Shl => {
-            let amt = ty.truncate(b);
-            (amt < width).then(|| a << amt)
-        }
-        BinOp::LShr => {
-            let amt = ty.truncate(b);
-            (amt < width).then(|| ty.truncate(a) >> amt)
-        }
-        BinOp::AShr => {
-            let amt = ty.truncate(b);
-            (amt < width).then(|| (ty.sext(a) >> amt) as u64)
-        }
-        BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem => {
-            unreachable!("trapping ops take the slow path")
-        }
-    };
-    match out {
-        Some(v) => Val::Int {
-            ty,
-            bits: ty.truncate(v),
-            tainted,
-        },
-        None => Val::Undef(ty), // over-shift
-    }
-}
-
-/// `MachineCore::icmp_op` specialized to two concrete integers.
-#[inline]
-fn fast_icmp(pred: IcmpPred, ty: Type, a: u64, b: u64, tainted: bool) -> Val {
-    let (ua, ub) = (ty.truncate(a), ty.truncate(b));
-    let (sa, sb) = (ty.sext(a), ty.sext(b));
-    let r = match pred {
-        IcmpPred::Eq => ua == ub,
-        IcmpPred::Ne => ua != ub,
-        IcmpPred::Ugt => ua > ub,
-        IcmpPred::Uge => ua >= ub,
-        IcmpPred::Ult => ua < ub,
-        IcmpPred::Ule => ua <= ub,
-        IcmpPred::Sgt => sa > sb,
-        IcmpPred::Sge => sa >= sb,
-        IcmpPred::Slt => sa < sb,
-        IcmpPred::Sle => sa <= sb,
-    };
-    Val::Int {
-        ty: Type::I1,
-        bits: r as u64,
-        tainted,
     }
 }
 

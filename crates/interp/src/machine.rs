@@ -16,6 +16,7 @@ use crate::event::Event;
 use crate::exec::{End, RunConfig, RunResult, UbReason, UndefPolicy};
 use crate::mem::{MemBlockId, Memory, NULL_BLOCK};
 use crate::value::Val;
+use crellvm_ir::arith::{self, Fault};
 use crellvm_ir::{BinOp, CastOp, Const, ConstExpr, IcmpPred, Module, Type};
 use std::collections::HashMap;
 
@@ -24,6 +25,27 @@ pub(crate) fn null_ptr() -> Val {
     Val::Ptr {
         block: NULL_BLOCK,
         offset: 0,
+    }
+}
+
+/// [`arith::bin`] on two forced integers: a trap (division by 0 or
+/// `MIN / -1`) is UB, an over-shift is `undef`.
+#[inline]
+pub(crate) fn int_bin(op: BinOp, ty: Type, a: u64, b: u64, tainted: bool) -> Result<Val, Stop> {
+    match arith::bin(op, ty, a, b) {
+        Ok(bits) => Ok(Val::Int { ty, bits, tainted }),
+        Err(Fault::OverShift) => Ok(Val::Undef(ty)),
+        Err(Fault::Trap) => Err(Stop::Ub(UbReason::DivisionByZero)),
+    }
+}
+
+/// [`arith::icmp`] on two forced integers, as an `i1`.
+#[inline]
+pub(crate) fn int_icmp(pred: IcmpPred, ty: Type, a: u64, b: u64, tainted: bool) -> Val {
+    Val::Int {
+        ty: Type::I1,
+        bits: arith::icmp(pred, ty, a, b) as u64,
+        tainted,
     }
 }
 
@@ -233,75 +255,7 @@ impl MachineCore {
         let (Some(a), Some(b)) = (self.force_int(a)?, self.force_int(b)?) else {
             return Ok(Val::Poison(ty));
         };
-        let bits = ty.bits();
-        let out: Option<u64> = match op {
-            BinOp::Add => Some(a.wrapping_add(b)),
-            BinOp::Sub => Some(a.wrapping_sub(b)),
-            BinOp::Mul => Some(a.wrapping_mul(b)),
-            BinOp::UDiv => {
-                let (a, b) = (ty.truncate(a), ty.truncate(b));
-                if b == 0 {
-                    return Err(Stop::Ub(UbReason::DivisionByZero));
-                }
-                Some(a / b)
-            }
-            BinOp::SDiv => {
-                let (sa, sb) = (ty.sext(a), ty.sext(b));
-                if sb == 0 || (sa == ty.sext(1u64 << (bits - 1)) && sb == -1) {
-                    return Err(Stop::Ub(UbReason::DivisionByZero));
-                }
-                Some((sa / sb) as u64)
-            }
-            BinOp::URem => {
-                let (a, b) = (ty.truncate(a), ty.truncate(b));
-                if b == 0 {
-                    return Err(Stop::Ub(UbReason::DivisionByZero));
-                }
-                Some(a % b)
-            }
-            BinOp::SRem => {
-                let (sa, sb) = (ty.sext(a), ty.sext(b));
-                if sb == 0 || (sa == ty.sext(1u64 << (bits - 1)) && sb == -1) {
-                    return Err(Stop::Ub(UbReason::DivisionByZero));
-                }
-                Some((sa % sb) as u64)
-            }
-            BinOp::Shl => {
-                let amt = ty.truncate(b);
-                if amt >= bits as u64 {
-                    None
-                } else {
-                    Some(a << amt)
-                }
-            }
-            BinOp::LShr => {
-                let amt = ty.truncate(b);
-                if amt >= bits as u64 {
-                    None
-                } else {
-                    Some(ty.truncate(a) >> amt)
-                }
-            }
-            BinOp::AShr => {
-                let amt = ty.truncate(b);
-                if amt >= bits as u64 {
-                    None
-                } else {
-                    Some((ty.sext(a) >> amt) as u64)
-                }
-            }
-            BinOp::And => Some(a & b),
-            BinOp::Or => Some(a | b),
-            BinOp::Xor => Some(a ^ b),
-        };
-        Ok(match out {
-            Some(v) => Val::Int {
-                ty,
-                bits: ty.truncate(v),
-                tainted,
-            },
-            None => Val::Undef(ty), // over-shift
-        })
+        int_bin(op, ty, a, b, tainted)
     }
 
     pub(crate) fn icmp_op(
@@ -315,25 +269,7 @@ impl MachineCore {
         let (Some(a), Some(b)) = (self.force_int(a)?, self.force_int(b)?) else {
             return Ok(Val::Poison(Type::I1));
         };
-        let (ua, ub) = (ty.truncate(a), ty.truncate(b));
-        let (sa, sb) = (ty.sext(a), ty.sext(b));
-        let r = match pred {
-            IcmpPred::Eq => ua == ub,
-            IcmpPred::Ne => ua != ub,
-            IcmpPred::Ugt => ua > ub,
-            IcmpPred::Uge => ua >= ub,
-            IcmpPred::Ult => ua < ub,
-            IcmpPred::Ule => ua <= ub,
-            IcmpPred::Sgt => sa > sb,
-            IcmpPred::Sge => sa >= sb,
-            IcmpPred::Slt => sa < sb,
-            IcmpPred::Sle => sa <= sb,
-        };
-        Ok(Val::Int {
-            ty: Type::I1,
-            bits: r as u64,
-            tainted,
-        })
+        Ok(int_icmp(pred, ty, a, b, tainted))
     }
 
     pub(crate) fn cast_op(
@@ -346,27 +282,12 @@ impl MachineCore {
         let tainted = v.is_undef_derived();
         match op {
             CastOp::Bitcast => Ok(v),
-            CastOp::Trunc => match self.force_int(v)? {
+            CastOp::Trunc | CastOp::Zext | CastOp::Sext => match self.force_int(v)? {
                 None => Ok(Val::Poison(to)),
                 Some(bits) => Ok(Val::Int {
                     ty: to,
-                    bits: to.truncate(bits),
-                    tainted,
-                }),
-            },
-            CastOp::Zext => match self.force_int(v)? {
-                None => Ok(Val::Poison(to)),
-                Some(bits) => Ok(Val::Int {
-                    ty: to,
-                    bits: from.truncate(bits),
-                    tainted,
-                }),
-            },
-            CastOp::Sext => match self.force_int(v)? {
-                None => Ok(Val::Poison(to)),
-                Some(bits) => Ok(Val::Int {
-                    ty: to,
-                    bits: to.truncate(from.sext(bits) as u64),
+                    bits: arith::cast(op, from, to, bits)
+                        .expect("trunc, zext and sext are integer casts"),
                     tainted,
                 }),
             },

@@ -8,6 +8,7 @@
 //! (arithmetic, call arguments, branch conditions, addresses). This is the
 //! semantic subtlety behind LLVM bug PR33673.
 
+use crate::arith;
 use crate::inst::BinOp;
 use crate::types::Type;
 use serde::{Deserialize, Serialize};
@@ -71,17 +72,13 @@ impl Const {
     ///
     /// A syntactic over-approximation: any division/remainder inside a
     /// constant expression counts as potentially trapping unless its divisor
-    /// is a non-zero integer literal.
+    /// is an integer literal no dividend traps on ([`arith::divisor_traps`]),
+    /// or both operands are literals that [`arith::bin`] divides.
     pub fn may_trap(&self) -> bool {
         match self {
             Const::Int { .. } | Const::Undef(_) | Const::Null | Const::Global(_) => false,
             Const::Expr(e) => e.may_trap(),
         }
-    }
-
-    /// Is this syntactically `undef`?
-    pub fn is_undef(&self) -> bool {
-        matches!(self, Const::Undef(_))
     }
 }
 
@@ -98,12 +95,15 @@ impl ConstExpr {
     pub fn may_trap(&self) -> bool {
         match self {
             ConstExpr::PtrToInt(c, _) => c.may_trap(),
-            ConstExpr::Bin(op, _, a, b) => {
-                let divisor_trap = match op {
-                    BinOp::UDiv | BinOp::SDiv | BinOp::URem | BinOp::SRem => {
-                        !matches!(b, Const::Int { bits, .. } if *bits != 0)
+            ConstExpr::Bin(op, ty, a, b) => {
+                let divisor_trap = match (a, b) {
+                    _ if !op.may_trap() => false,
+                    _ if !ty.is_int() => true,
+                    (Const::Int { bits: x, .. }, Const::Int { bits: y, .. }) => {
+                        arith::bin(*op, *ty, *x, *y) == Err(arith::Fault::Trap)
                     }
-                    _ => false,
+                    (_, Const::Int { bits: y, .. }) => arith::divisor_traps(*op, *ty, *y),
+                    _ => true,
                 };
                 divisor_trap || a.may_trap() || b.may_trap()
             }
@@ -120,7 +120,9 @@ impl From<ConstExpr> for Const {
 impl fmt::Display for Const {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Const::Int { ty, bits } => write!(f, "{}", ty.sext(*bits)),
+            Const::Int { ty, bits } if ty.is_int() => write!(f, "{}", ty.sext(*bits)),
+            // Only a hostile proof types a literal otherwise: show its bits.
+            Const::Int { bits, .. } => write!(f, "{bits}"),
             Const::Undef(_) => f.write_str("undef"),
             Const::Null => f.write_str("null"),
             Const::Global(name) => write!(f, "@{name}"),
@@ -165,6 +167,25 @@ mod tests {
         )
         .into();
         assert!(!e.may_trap());
+    }
+
+    #[test]
+    fn signed_division_of_min_by_minus_one_traps() {
+        let div = |op, a: i64, b: Const| -> Const {
+            ConstExpr::Bin(op, Type::I32, Const::int(Type::I32, a), b).into()
+        };
+        let m1 = Const::int(Type::I32, -1);
+        for op in [BinOp::SDiv, BinOp::SRem] {
+            assert!(div(op, i32::MIN as i64, m1.clone()).may_trap(), "{op}");
+            // A literal dividend other than MIN cannot overflow…
+            assert!(!div(op, 7, m1.clone()).may_trap(), "{op}");
+            // …but an unknown one can be MIN.
+            let g: Const = ConstExpr::PtrToInt(Const::Global("G".into()), Type::I32).into();
+            let e: Const = ConstExpr::Bin(op, Type::I32, g, m1.clone()).into();
+            assert!(e.may_trap(), "{op}");
+        }
+        // Unsigned division by all-ones never overflows.
+        assert!(!div(BinOp::UDiv, i32::MIN as i64, m1).may_trap());
     }
 
     #[test]

@@ -309,28 +309,12 @@ impl Function {
         None
     }
 
-    /// The instruction that defines `r`, if `r` is statement-defined.
-    pub fn defining_inst(&self, r: RegId) -> Option<&Inst> {
-        match self.def_site(r)? {
-            DefSite::Stmt(b, i) => Some(&self.block(b).stmts[i].inst),
-            _ => None,
-        }
-    }
-
     /// The static type of a register, derived from its definition.
     pub fn reg_ty(&self, r: RegId) -> Option<Type> {
         match self.def_site(r)? {
             DefSite::Param(i) => Some(self.params[i].0),
             DefSite::Phi(b, i) => Some(self.block(b).phis[i].1.ty),
             DefSite::Stmt(b, i) => self.block(b).stmts[i].inst.result_ty(),
-        }
-    }
-
-    /// The static type of a value in this function.
-    pub fn value_ty(&self, v: &Value) -> Option<Type> {
-        match v {
-            Value::Reg(r) => self.reg_ty(*r),
-            Value::Const(c) => Some(c.ty()),
         }
     }
 

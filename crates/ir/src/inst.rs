@@ -480,14 +480,6 @@ impl Inst {
             | Inst::Unsupported { .. } => false,
         }
     }
-
-    /// Does this instruction write memory or emit events?
-    pub fn is_side_effecting(&self) -> bool {
-        matches!(
-            self,
-            Inst::Store { .. } | Inst::Call { .. } | Inst::Unsupported { .. }
-        )
-    }
 }
 
 /// A block terminator.
@@ -568,26 +560,6 @@ impl Term {
             }
         });
         n
-    }
-
-    /// Rewrite block targets through `f`.
-    pub fn map_targets(&mut self, mut f: impl FnMut(BlockId) -> BlockId) {
-        match self {
-            Term::Ret(_) | Term::Unreachable => {}
-            Term::Br(b) => *b = f(*b),
-            Term::CondBr {
-                if_true, if_false, ..
-            } => {
-                *if_true = f(*if_true);
-                *if_false = f(*if_false);
-            }
-            Term::Switch { default, cases, .. } => {
-                *default = f(*default);
-                for (_, b) in cases {
-                    *b = f(*b);
-                }
-            }
-        }
     }
 }
 

@@ -45,6 +45,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod arith;
 pub mod builder;
 pub mod cfg;
 pub mod constant;

@@ -202,11 +202,6 @@ pub fn print_function(f: &Function) -> String {
     out
 }
 
-/// Render a value within the context of `f` (for diagnostics).
-pub fn print_value(f: &Function, v: &Value) -> String {
-    fmt_value(v, &NameMap::new(f))
-}
-
 /// Render a whole module.
 pub fn print_module(m: &Module) -> String {
     let mut out = String::new();

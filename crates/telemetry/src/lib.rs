@@ -155,11 +155,6 @@ impl Telemetry {
         CausalSpan::open(self.spans.clone(), name, cat)
     }
 
-    /// The attached span collector, if any.
-    pub fn span_collector(&self) -> Option<Arc<SpanCollector>> {
-        self.spans.clone()
-    }
-
     /// The attached trace sink, if any. The scheduler behind the parallel
     /// validation engine uses this to give each worker a private registry
     /// while all workers keep emitting into the session's one trace file.

@@ -110,11 +110,6 @@ impl Progress {
         self.done.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Grow the expected total by `n`.
-    pub fn add_total(&self, n: u64) {
-        self.total.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record a validation-cache hit.
     pub fn add_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);

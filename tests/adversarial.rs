@@ -248,3 +248,180 @@ fn empty_proof_only_validates_identity() {
         }
     }
 }
+
+/// `@f(i32 %x)`, whose one row `%y = add i32 %x, 0` is returned, and its
+/// `%x`.
+fn one_row_function() -> (crellvm::ir::Function, crellvm::ir::RegId) {
+    let m = crellvm::ir::parse_module(
+        "define @f(i32 %x) -> i32 {\nentry:\n  %y = add i32 %x, 0\n  ret i32 %y\n}\n",
+    )
+    .unwrap();
+    let f = m.functions[0].clone();
+    let x = f.params[0].1;
+    (f, x)
+}
+
+/// A target-only division the source never executes is fine only when
+/// its literal divisor traps for no dividend: `sdiv`/`srem` by −1 traps
+/// on MIN, as by 0 for every operator.
+#[test]
+fn target_only_division_by_minus_one_rejected() {
+    use crellvm::erhl::ProofBuilder;
+    use crellvm::ir::{BinOp, Stmt, Type};
+    let (f, x) = one_row_function();
+    for (op, divisor, accepted) in [
+        (BinOp::SDiv, -1, false),
+        (BinOp::SRem, -1, false),
+        (BinOp::SDiv, 0, false),
+        (BinOp::UDiv, 0, false),
+        (BinOp::SDiv, 2, true),
+        (BinOp::SRem, 2, true),
+        (BinOp::UDiv, -1, true),
+        (BinOp::URem, -1, true),
+    ] {
+        let mut pb = ProofBuilder::new("adversary", &f);
+        let z = pb.fresh_reg("z");
+        let inst = Inst::Bin {
+            op,
+            ty: Type::I32,
+            lhs: Value::Reg(x),
+            rhs: Value::int(Type::I32, divisor),
+        };
+        pb.append_tgt(
+            0,
+            Stmt {
+                result: Some(z),
+                inst,
+            },
+        );
+        pb.global_maydiff(z);
+        let verdict = validate(&pb.finish());
+        assert_eq!(verdict.is_ok(), accepted, "{op} by {divisor}: {verdict:?}");
+    }
+}
+
+/// A target division on a source division's divisor is fine unless it
+/// can trap where the source cannot: a signed target overflows at
+/// `MIN / -1`, so it needs a signed source on the same dividend.
+#[test]
+fn signed_target_division_needs_a_signed_source_on_the_same_dividend() {
+    use crellvm::erhl::ProofBuilder;
+    use crellvm::ir::{parse_module, BinOp, Type};
+    let m = parse_module(
+        "define @f(i32 %x, i32 %y, i32 %d) -> i32 {\nentry:\n  \
+         %u = udiv i32 %x, %d\n  %s = sdiv i32 %x, %d\n  ret i32 %x\n}\n",
+    )
+    .unwrap();
+    let f = &m.functions[0];
+    let [x, y, d] = [0, 1, 2].map(|i| f.params[i].1);
+    // (row replaced: 0 is `udiv %x, %d`, 1 is `sdiv %x, %d`; new target)
+    for (row, op, lhs, accepted) in [
+        (0, BinOp::SDiv, x, false),
+        (0, BinOp::SRem, x, false),
+        (1, BinOp::SDiv, y, false),
+        (0, BinOp::UDiv, y, true),
+        (0, BinOp::URem, x, true),
+        (1, BinOp::SRem, x, true),
+        (1, BinOp::UDiv, y, true),
+    ] {
+        let mut pb = ProofBuilder::new("adversary", f);
+        let inst = Inst::Bin {
+            op,
+            ty: Type::I32,
+            lhs: Value::Reg(lhs),
+            rhs: Value::Reg(d),
+        };
+        pb.replace_tgt(0, row, inst);
+        pb.global_maydiff(f.blocks[0].stmts[row].result.unwrap());
+        let verdict = validate(&pb.finish());
+        assert_eq!(verdict.is_ok(), accepted, "row {row} -> {op}: {verdict:?}");
+    }
+}
+
+/// Proofs that give an arithmetic rule or a division a non-integer type
+/// fail with a reason, like any rule that does not apply; none reaches
+/// `Type::bits` and panics.
+#[test]
+fn non_integer_widths_fail_cleanly() {
+    use crellvm::erhl::{ArithRule, CompositeRule, Expr, InfRule, ProofBuilder, Side, TValue};
+    use crellvm::ir::{BinOp, CastOp, IcmpPred, Stmt, Type};
+    let (f, x) = one_row_function();
+    let ptr = |bits| Const::Int {
+        ty: Type::Ptr,
+        bits,
+    };
+    let lit = |bits| TValue::Const(ptr(bits));
+    let identity = |from: Expr, to: Expr| {
+        InfRule::Arith(ArithRule::Identity {
+            side: Side::Src,
+            anchor: Expr::Value(TValue::phy(x)),
+            from,
+            to,
+        })
+    };
+    let rules = [
+        identity(
+            Expr::bin(BinOp::Add, Type::Ptr, lit(1), lit(2)),
+            Expr::Value(lit(3)),
+        ),
+        identity(
+            Expr::bin(BinOp::Add, Type::Void, lit(1), lit(2)),
+            Expr::Value(lit(3)),
+        ),
+        identity(
+            Expr::Icmp {
+                pred: IcmpPred::Eq,
+                ty: Type::Ptr,
+                a: lit(1),
+                b: lit(1),
+            },
+            Expr::Value(TValue::Const(Const::bool(true))),
+        ),
+        identity(
+            Expr::Cast {
+                op: CastOp::Trunc,
+                from: Type::Ptr,
+                a: lit(1),
+                to: Type::I32,
+            },
+            Expr::Value(TValue::int(Type::I32, 1)),
+        ),
+        InfRule::Arith(ArithRule::Composite(CompositeRule::ShlShl {
+            side: Side::Src,
+            ty: Type::Ptr,
+            t: TValue::phy(x),
+            y: TValue::phy(x),
+            a: TValue::phy(x),
+            c1: ptr(1),
+            c2: ptr(2),
+        })),
+    ];
+    let mut units = Vec::new();
+    for rule in rules {
+        let mut pb = ProofBuilder::new("adversary", &f);
+        pb.infrule_after_row(0, 0, rule);
+        units.push(pb.finish());
+    }
+    // A target-only `udiv` typed `ptr` with a literal divisor.
+    let mut pb = ProofBuilder::new("adversary", &f);
+    let z = pb.fresh_reg("z");
+    let inst = Inst::Bin {
+        op: BinOp::UDiv,
+        ty: Type::Ptr,
+        lhs: Value::Reg(x),
+        rhs: Value::Const(ptr(5)),
+    };
+    pb.append_tgt(
+        0,
+        Stmt {
+            result: Some(z),
+            inst,
+        },
+    );
+    pb.global_maydiff(z);
+    units.push(pb.finish());
+    for unit in &units {
+        let err = validate(unit).expect_err("a non-integer width must fail");
+        assert!(!err.reason.is_empty());
+    }
+}

@@ -8,7 +8,7 @@
 //! 5.0.1-prepatch / 5.0.1-postpatch bug populations.
 
 use crellvm::erhl::{validate, Verdict};
-use crellvm::interp::{check_refinement, run_main, End, RunConfig, Val};
+use crellvm::interp::{check_refinement, run_main, End, RunConfig, UbReason, Val};
 use crellvm::ir::{parse_module, verify_module, Module, Type};
 use crellvm::passes::{gvn, mem2reg, BugSet, PassConfig};
 
@@ -257,6 +257,60 @@ fn pr33673_end_to_end() {
         "target raises UB evaluating the trapping constexpr: {:?}",
         buggy_run.end
     );
+    assert!(check_refinement(&src_run, &buggy_run).is_err());
+}
+
+/// PR33673 with a constant that traps by overflow instead of by zero:
+/// `sdiv(i32 MIN, -1)`, whose divisor is a non-zero literal.
+#[test]
+fn pr33673_min_by_minus_one_end_to_end() {
+    let m = parse_module(
+        r#"
+        declare @foo(i32)
+        define @main() {
+        entry:
+          %p = alloca i32
+          br i1 1, label uses, label stores
+        uses:
+          %r = load i32, ptr %p
+          call void @foo(i32 %r)
+          ret void
+        stores:
+          store i32 sdiv(i32 -2147483648, -1), ptr %p
+          ret void
+        }
+        "#,
+    )
+    .unwrap();
+    let fixed = mem2reg(&m, &PassConfig::default());
+    for unit in &fixed.proofs {
+        assert_eq!(validate(unit), Ok(Verdict::Valid));
+    }
+
+    let config = PassConfig::with_bugs(BugSet {
+        pr33673: true,
+        ..BugSet::default()
+    });
+    let buggy = mem2reg(&m, &config);
+    verify_module(&buggy.module).unwrap();
+    let err = buggy
+        .proofs
+        .iter()
+        .find_map(|u| validate(u).err())
+        .expect("must fail validation");
+    assert!(
+        err.reason.contains("trapping") || err.reason.contains("undefined behaviour"),
+        "reason: {}",
+        err.reason
+    );
+
+    // The source never divides (foo receives undef); the target traps
+    // evaluating the call argument.
+    let rc = RunConfig::default();
+    let src_run = run_main(&m, &rc);
+    assert_eq!(src_run.end, End::Ret(None), "source is well-defined");
+    let buggy_run = run_main(&buggy.module, &rc);
+    assert_eq!(buggy_run.end, End::Ub(UbReason::TrappingConstant));
     assert!(check_refinement(&src_run, &buggy_run).is_err());
 }
 

@@ -639,6 +639,45 @@ fn hostile_modules_exit_2_without_output() {
     }
 }
 
+/// A proof that gives a rule a non-integer type fails its unit, as any
+/// rule that does not apply does: `check` exits 1 instead of panicking.
+#[test]
+fn check_fails_a_rule_at_a_non_integer_width() {
+    use crellvm::erhl::TValue;
+    use crellvm::erhl::{proof_to_json, ArithRule, CompositeRule, InfRule, ProofBuilder, Side};
+    use crellvm::ir::{parse_module, Const, Type};
+    let m =
+        parse_module("define @f(i32 %x) -> i32 {\nentry:\n  %y = add i32 %x, 0\n  ret i32 %y\n}\n")
+            .unwrap();
+    let f = &m.functions[0];
+    let x = TValue::phy(f.params[0].1);
+    let mut pb = ProofBuilder::new("instcombine", f);
+    let rule = CompositeRule::ShlShl {
+        side: Side::Src,
+        ty: Type::Ptr,
+        t: x.clone(),
+        y: x.clone(),
+        a: x,
+        c1: Const::Int {
+            ty: Type::Ptr,
+            bits: 1,
+        },
+        c2: Const::Int {
+            ty: Type::Ptr,
+            bits: 2,
+        },
+    };
+    pb.infrule_after_row(0, 0, InfRule::Arith(ArithRule::Composite(rule)));
+    let path = tmpfile("ptr_width_proof.json");
+    std::fs::write(&path, proof_to_json(&pb.finish()).unwrap()).unwrap();
+    let out = run(&["check", path.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{stderr}");
+    assert!(stdout.contains("non-integer type ptr"), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn runs_past_the_memory_budget_end_out_of_fuel() {
     let prog = tmpfile("memory_hog.cll");

@@ -7,13 +7,15 @@
 //! configuration is refuted the same way the paper's Coq proof attempt
 //! refuted the original rule.
 
-use crellvm::erhl::semantics::{eval_expr, eval_pred, lessdef_vals, ExtState, SemVal};
+mod semantics;
+
 use crellvm::erhl::{
     apply_inf, rules_arith, ArithRule, Assertion, CheckerConfig, Expr, InfRule, Pred, Side, TReg,
     TValue,
 };
 use crellvm::ir::{BinOp, CastOp, Const, IcmpPred, RegId, Type};
 use proptest::prelude::*;
+use semantics::{eval_expr, eval_lessdef, eval_pred, lessdef_vals, ExtState, SemVal};
 
 fn reg(i: usize) -> RegId {
     RegId::from_index(i)
@@ -104,13 +106,14 @@ proptest! {
             if !rules_arith::identity_holds(&from, &to) {
                 continue; // not claimed (e.g. 1<<k not a valid shift form)
             }
+            // A trapping source is vacuous; a defined one needs a defined,
+            // refining target.
             let (vf, vt) = (eval_expr(&from, &st), eval_expr(&to, &st));
-            if let (Some(vf), Some(vt)) = (vf, vt) {
-                prop_assert!(
-                    lessdef_vals(vf, vt),
-                    "identity {from} -> {to} violated: {vf:?} vs {vt:?} (a={a:?}, b={b:?})"
-                );
-            }
+            prop_assert_ne!(
+                eval_lessdef(&from, &to, &st),
+                Some(false),
+                "identity {} -> {} violated: {:?} vs {:?} (a={:?}, b={:?})", from, to, vf, vt, a, b
+            );
         }
     }
 
@@ -364,10 +367,10 @@ mod composite_soundness {
         rule: CompositeRule,
     ) -> Result<(), String> {
         for (r, e) in defs {
-            let v = eval_expr(e, st).ok_or("premise traps")?;
+            let v = eval_expr(e, st).map_err(|_| "premise traps")?;
             st.set(TReg::Phy(reg(*r)), v);
         }
-        let yv = eval_expr(&y_def, st).ok_or("y traps")?;
+        let yv = eval_expr(&y_def, st).map_err(|_| "y traps")?;
         let y = 9usize;
         st.set(TReg::Phy(reg(y)), yv);
 
@@ -625,17 +628,17 @@ mod postcond_soundness {
             // Execute semantically on both sides.
             let e = Expr::of_inst(&stmt.inst).unwrap();
             let (mut src2, mut tgt2) = (src.clone(), tgt.clone());
-            if let Some(v) = eval_expr(&e, &src) {
+            if let Ok(v) = eval_expr(&e, &src) {
                 src2.set(TReg::Phy(reg(2)), v);
             } else {
                 return Ok(()); // trapping path not modelled here
             }
-            if let Some(v) = eval_expr(&e, &tgt) {
+            if let Ok(v) = eval_expr(&e, &tgt) {
                 tgt2.set(TReg::Phy(reg(2)), v);
             }
 
             // The computed post-assertion must hold in the post-states.
-            use crellvm::erhl::semantics::eval_assertion;
+            use crate::semantics::eval_assertion;
             prop_assert_ne!(
                 eval_assertion(&post, &src2, &tgt2),
                 Some(false),
@@ -672,13 +675,13 @@ mod postcond_soundness {
             // Semantically: the post-states (which may disagree on r2)
             // satisfy the post-assertion.
             let (mut src2, mut tgt2) = (src.clone(), tgt.clone());
-            if let (Some(vs), Some(vt)) = (
+            if let (Ok(vs), Ok(vt)) = (
                 eval_expr(&Expr::of_inst(&s.inst).unwrap(), &src),
                 eval_expr(&Expr::of_inst(&t.inst).unwrap(), &tgt),
             ) {
                 src2.set(TReg::Phy(reg(2)), vs);
                 tgt2.set(TReg::Phy(reg(2)), vt);
-                use crellvm::erhl::semantics::eval_assertion;
+                use crate::semantics::eval_assertion;
                 prop_assert_ne!(eval_assertion(&post, &src2, &tgt2), Some(false));
             }
         }
@@ -732,10 +735,10 @@ mod composite_soundness2 {
             st.set(TReg::Phy(reg(1)), b);
             let (ra, rb) = (TValue::phy(reg(0)), TValue::phy(reg(1)));
             let xor = Expr::bin(BinOp::Xor, Type::I32, ra.clone(), rb.clone());
-            if let Some(t) = eval_expr(&xor, &st) {
+            if let Ok(t) = eval_expr(&xor, &st) {
                 st.set(TReg::Phy(reg(2)), t);
                 let outer = Expr::bin(BinOp::Or, Type::I32, TValue::phy(reg(2)), rb.clone());
-                if let Some(y) = eval_expr(&outer, &st) {
+                if let Ok(y) = eval_expr(&outer, &st) {
                     st.set(TReg::Phy(reg(9)), y);
                     let mut q = Assertion::new();
                     q.src.insert_lessdef(Expr::value(TValue::phy(reg(2))), xor.clone());
@@ -755,10 +758,10 @@ mod composite_soundness2 {
             st.set(TReg::Phy(reg(0)), a);
             st.set(TReg::Phy(reg(1)), b);
             let diff = Expr::bin(BinOp::Sub, Type::I32, ra.clone(), rb.clone());
-            if let Some(t) = eval_expr(&diff, &st) {
+            if let Ok(t) = eval_expr(&diff, &st) {
                 st.set(TReg::Phy(reg(2)), t);
                 let outer = Expr::bin(BinOp::Sub, Type::I32, ra.clone(), TValue::phy(reg(2)));
-                if let Some(y) = eval_expr(&outer, &st) {
+                if let Ok(y) = eval_expr(&outer, &st) {
                     st.set(TReg::Phy(reg(9)), y);
                     let mut q = Assertion::new();
                     q.src.insert_lessdef(Expr::value(TValue::phy(reg(2))), diff);
@@ -801,9 +804,12 @@ mod composite_soundness2 {
             ];
             for (from, to) in pairs {
                 prop_assert!(rules_arith::identity_holds(&from, &to), "{from} -> {to} not in table");
-                if let (Some(vf), Some(vt)) = (eval_expr(&from, &st), eval_expr(&to, &st)) {
-                    prop_assert!(lessdef_vals(vf, vt), "{from} -> {to}: {vf:?} vs {vt:?}");
-                }
+                let (vf, vt) = (eval_expr(&from, &st), eval_expr(&to, &st));
+                prop_assert_ne!(
+                    eval_lessdef(&from, &to, &st),
+                    Some(false),
+                    "{} -> {}: {:?} vs {:?}", from, to, vf, vt
+                );
             }
         }
     }
@@ -815,8 +821,8 @@ mod composite_soundness2 {
 /// and check the computed post-assertion against the stepped states.
 mod postcond_phi_soundness {
     use super::*;
+    use crate::semantics::eval_assertion;
     use crellvm::erhl::calc_post_phi;
-    use crellvm::erhl::semantics::eval_assertion;
     use crellvm::ir::{BlockId, Phi, Value};
 
     fn from_block() -> BlockId {
@@ -1058,5 +1064,101 @@ mod implies_lattice {
         fn explanation_iff_failure(a in arb_assertion(), b in arb_assertion()) {
             prop_assert_eq!(a.implies(&b), a.why_not_implies(&b).is_none());
         }
+    }
+}
+
+/// The identity table swept over a small i8 grammar. Sources: every `Bin`
+/// and `Icmp` over two registers and the boundary constants. Targets:
+/// values and the same single operations. Every pair `identity_holds`
+/// accepts must refine under every valuation tried.
+mod identity_sweep {
+    use super::*;
+
+    /// 0, ±1, MIN, MAX and every shift amount, up to the width itself.
+    const CONSTS: [i64; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, -1, -128, 127];
+
+    fn operands() -> Vec<TValue> {
+        let mut v = vec![TValue::phy(reg(0)), TValue::phy(reg(1))];
+        v.extend(CONSTS.map(|c| TValue::int(Type::I8, c)));
+        v
+    }
+
+    /// The accepted pairs, with the number of sources and targets tried.
+    fn accepted() -> (Vec<(Expr, Expr)>, usize, usize) {
+        let ops = operands();
+        let mut sources = Vec::new();
+        for a in &ops {
+            for b in &ops {
+                for op in BinOp::all() {
+                    sources.push(Expr::bin(op, Type::I8, a.clone(), b.clone()));
+                }
+                for pred in IcmpPred::all() {
+                    let (a, b) = (a.clone(), b.clone());
+                    sources.push(Expr::Icmp {
+                        pred,
+                        ty: Type::I8,
+                        a,
+                        b,
+                    });
+                }
+            }
+        }
+        let mut targets: Vec<Expr> = ops.into_iter().map(Expr::Value).collect();
+        targets.extend([false, true].map(|b| Expr::Value(TValue::Const(Const::bool(b)))));
+        targets.extend(sources.iter().cloned());
+        let mut pairs = Vec::new();
+        for from in &sources {
+            for to in &targets {
+                if rules_arith::identity_holds(from, to) {
+                    pairs.push((from.clone(), to.clone()));
+                }
+            }
+        }
+        (pairs, sources.len(), targets.len())
+    }
+
+    /// Check every accepted pair with both registers ranging over `values`.
+    fn sweep(values: &[SemVal]) {
+        let (pairs, sources, targets) = accepted();
+        eprintln!(
+            "identity sweep: {sources} sources x {targets} targets, {} accepted, {} valuations",
+            pairs.len(),
+            values.len() * values.len()
+        );
+        assert!(pairs.len() > 1000, "only {} pairs accepted", pairs.len());
+        for &a in values {
+            for &b in values {
+                let mut st = ExtState::new();
+                st.set(TReg::Phy(reg(0)), a);
+                st.set(TReg::Phy(reg(1)), b);
+                for (from, to) in &pairs {
+                    assert_ne!(
+                        eval_lessdef(from, to, &st),
+                        Some(false),
+                        "{from} -> {to} at r0={a:?}, r1={b:?}: {:?} vs {:?}",
+                        eval_expr(from, &st),
+                        eval_expr(to, &st)
+                    );
+                }
+            }
+        }
+    }
+
+    /// Both registers at the boundary constants and at undef.
+    #[test]
+    fn identity_table_sound_on_i8_boundaries() {
+        let mut values: Vec<SemVal> = CONSTS.iter().map(|&c| SemVal::int(Type::I8, c)).collect();
+        values.push(SemVal::Undef);
+        sweep(&values);
+    }
+
+    /// Both registers over all 256 i8 values and undef (257² valuations);
+    /// CI runs it in release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn identity_table_sound_on_every_i8_valuation() {
+        let mut values: Vec<SemVal> = (0..256).map(|v| SemVal::int(Type::I8, v)).collect();
+        values.push(SemVal::Undef);
+        sweep(&values);
     }
 }
